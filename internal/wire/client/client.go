@@ -218,18 +218,20 @@ func (c *Client) Wait(ctx context.Context, j *Job, onProgress func(done, total u
 		case wire.TypeJobState:
 			// Stale STATUS answer; ignore.
 		case wire.TypeResult:
-			var rm wire.ResultMsg
-			if err := wire.Decode(payload, &rm); err != nil {
+			// SplitResult checks only the envelope; decoding the document
+			// is its one full scan.
+			id, doc, err := wire.SplitResult(payload)
+			if err != nil {
 				return nil, err
 			}
-			if rm.ID != j.ID {
-				return nil, fmt.Errorf("wire: RESULT for job %d, want %d", rm.ID, j.ID)
+			if id != j.ID {
+				return nil, fmt.Errorf("wire: RESULT for job %d, want %d", id, j.ID)
 			}
-			j.Raw = []byte(rm.Result)
 			res := new(sim.Result)
-			if err := res.UnmarshalJSON(j.Raw); err != nil {
+			if err := res.UnmarshalJSON(doc); err != nil {
 				return nil, fmt.Errorf("wire: decoding result: %w", err)
 			}
+			j.Raw = doc
 			return res, nil
 		case wire.TypeError:
 			var em wire.ErrorMsg

@@ -9,13 +9,14 @@
 package server
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"moca/internal/exp"
@@ -31,7 +32,8 @@ type Config struct {
 	MaxFrame uint32
 	// ReadTimeout bounds the wait for each client frame; a connection with
 	// no live jobs that stays silent past it is closed (0 = 5 minutes).
-	// Connections with jobs in flight are exempt while they wait.
+	// Connections with jobs in flight are exempt while they wait, and the
+	// clock restarts when their last live job ends.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each frame write (0 = 30 seconds).
 	WriteTimeout time.Duration
@@ -111,8 +113,9 @@ func (c Config) profileWindow() uint64 {
 
 // Server accepts wire-protocol connections and runs their jobs.
 type Server struct {
-	cfg Config
-	hub *hub
+	cfg  Config
+	hub  *hub
+	docs docCache
 
 	mu      sync.Mutex
 	runners map[runnerKey]*exp.Runner
@@ -145,6 +148,7 @@ func New(cfg Config) *Server {
 		runners: make(map[runnerKey]*exp.Runner),
 		conns:   make(map[*conn]struct{}),
 		traces:  make(map[string]*traceSession),
+		docs:    docCache{docs: make(map[*sim.Result][]byte)},
 	}
 }
 
@@ -251,6 +255,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		srv:  s,
 		nc:   nc,
+		br:   bufio.NewReader(nc),
 		jobs: make(map[uint32]*job),
 	}
 	s.mu.Lock()
@@ -285,6 +290,37 @@ func (s *Server) hardContext() context.Context {
 	return context.Background()
 }
 
+// docCache keeps the encoded sim.Result document of every result the
+// server has delivered more than once, keyed by the *sim.Result the runner
+// memo hands every request for that run. A result delivered once is
+// encoded for that delivery and not kept, so one-off runs cost no
+// document memory. Keying by pointer retains nothing new: the runners
+// hold every memoized result for the server's lifetime.
+type docCache struct {
+	mu   sync.Mutex
+	docs map[*sim.Result][]byte // nil value: delivered once, not kept
+}
+
+// encode returns res's JSON document, from the cache when it holds one.
+func (d *docCache) encode(res *sim.Result) ([]byte, error) {
+	d.mu.Lock()
+	doc, seen := d.docs[res]
+	if !seen {
+		d.docs[res] = nil
+	}
+	d.mu.Unlock()
+	if doc != nil {
+		return doc, nil
+	}
+	doc, err := res.MarshalJSON()
+	if err == nil && seen {
+		d.mu.Lock()
+		d.docs[res] = doc
+		d.mu.Unlock()
+	}
+	return doc, err
+}
+
 // job is one client's interest in one run. Exactly one of the runner
 // path (memoKey/cancel) or the trace-streaming path (sess) is live.
 type job struct {
@@ -294,13 +330,7 @@ type job struct {
 	sess    *traceSession
 
 	mu    sync.Mutex
-	state string
-}
-
-func (j *job) setState(st string) {
-	j.mu.Lock()
-	j.state = st
-	j.mu.Unlock()
+	state string // StateRunning until finish makes it terminal, then fixed
 }
 
 func (j *job) getState() string {
@@ -314,11 +344,15 @@ func (j *job) getState() string {
 type conn struct {
 	srv *Server
 	nc  net.Conn
+	br  *bufio.Reader // read loop only
 
 	wmu sync.Mutex // serializes writes (jobs, streams, read-loop replies)
 
 	mu   sync.Mutex
 	jobs map[uint32]*job
+	// live counts the jobs in StateRunning. Only the read loop adds to
+	// it (when it registers a job); finish subtracts once per job.
+	live atomic.Int32
 
 	jwg sync.WaitGroup // job + streamer goroutines
 }
@@ -375,13 +409,17 @@ func (c *conn) serve() {
 	for {
 		// The idle timeout applies only between jobs: a client quietly
 		// waiting on a long simulation must not be cut off. Dead clients
-		// with live jobs are detected by write failures instead.
+		// with live jobs are detected by write failures instead. While
+		// this loop waits for a frame the count can only fall, and finish
+		// arms the clock when it reaches zero; the second load covers a
+		// job that ends between the first load and clearing the deadline.
 		if c.liveJobs() > 0 {
 			c.nc.SetReadDeadline(time.Time{})
-		} else {
-			c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.readTimeout()))
 		}
-		typ, payload, err := wire.ReadFrame(c.nc, c.srv.cfg.maxFrame())
+		if c.liveJobs() == 0 {
+			c.armIdle()
+		}
+		typ, payload, err := wire.ReadFrame(c.br, c.srv.cfg.maxFrame())
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				c.srv.logf("%s: read: %v", c.nc.RemoteAddr(), err)
@@ -397,9 +435,13 @@ func (c *conn) serve() {
 	}
 }
 
-func (c *conn) handshake() error {
+func (c *conn) armIdle() {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.readTimeout()))
-	typ, payload, err := wire.ReadFrame(c.nc, c.srv.cfg.maxFrame())
+}
+
+func (c *conn) handshake() error {
+	c.armIdle()
+	typ, payload, err := wire.ReadFrame(c.br, c.srv.cfg.maxFrame())
 	if err != nil {
 		return err
 	}
@@ -446,7 +488,9 @@ func (c *conn) dispatch(typ byte, payload []byte) error {
 			return err
 		}
 		if j := c.lookup(req.ID); j != nil {
-			j.setState(wire.StateCanceled)
+			// A job that already reached a terminal state keeps it, so
+			// STATUS agrees with the terminal frame the client received.
+			c.finish(j, wire.StateCanceled)
 			if j.sess != nil {
 				// An explicit CANCEL abandons the session for good — unlike
 				// a disconnect, which leaves it resumable.
@@ -494,16 +538,46 @@ func (c *conn) lookup(id uint32) *job {
 	return c.jobs[id]
 }
 
-func (c *conn) liveJobs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, j := range c.jobs {
-		if j.getState() == wire.StateRunning {
-			n++
-		}
+func (c *conn) liveJobs() int { return int(c.live.Load()) }
+
+// register adds a running job to the connection; the caller holds c.mu.
+func (c *conn) register(j *job) {
+	c.jobs[j.id] = j
+	c.live.Add(1)
+}
+
+// finish moves j from StateRunning to the terminal state st and returns
+// st. If j is already terminal it stays as it is and finish returns that
+// state: the first terminal state is final. The live count falls once
+// per job, here, and the idle clock restarts when it reaches zero.
+func (c *conn) finish(j *job, st string) string {
+	j.mu.Lock()
+	if j.state != wire.StateRunning {
+		st = j.state
+		j.mu.Unlock()
+		return st
 	}
-	return n
+	j.state = st
+	j.mu.Unlock()
+	if c.live.Add(-1) == 0 {
+		c.armIdle()
+	}
+	return st
+}
+
+// deliver makes st j's terminal state and sends the matching frame: the
+// RESULT payload for StateDone, otherwise an ERROR with code and msg. If
+// a CANCEL made j terminal first, the client gets the canceled ERROR
+// instead, so the frame always agrees with STATUS.
+func (c *conn) deliver(j *job, st, code, msg string, payload []byte) {
+	if c.finish(j, st) != st {
+		st, code, msg = wire.StateCanceled, wire.CodeCanceled, "job canceled"
+	}
+	if st == wire.StateDone {
+		_ = c.sendRaw(wire.TypeResult, payload)
+		return
+	}
+	_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: code, Msg: msg})
 }
 
 // submit validates a SUBMIT and starts its job goroutine.
@@ -536,7 +610,7 @@ func (c *conn) submit(sub wire.Submit) error {
 	// leaking them behind force-closed connections.
 	jctx, cancel := context.WithCancel(c.srv.hardContext())
 	j := &job{id: sub.ID, memoKey: def.Name + "|" + key, cancel: cancel, state: wire.StateRunning}
-	c.jobs[sub.ID] = j
+	c.register(j)
 	c.mu.Unlock()
 
 	if err := c.send(wire.TypeAccepted, wire.Accepted{ID: sub.ID}); err != nil {
@@ -572,8 +646,7 @@ func (c *conn) runJob(ctx context.Context, r *exp.Runner, j *job, def exp.System
 	if sub.Mix != "" {
 		mix, ok := workload.MixByName(sub.Mix)
 		if !ok {
-			j.setState(wire.StateFailed)
-			_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: wire.CodeBadReq, Msg: fmt.Sprintf("unknown mix %q", sub.Mix)})
+			c.deliver(j, wire.StateFailed, wire.CodeBadReq, fmt.Sprintf("unknown mix %q", sub.Mix), nil)
 			return
 		}
 		res, err = r.RunMixCtx(ctx, def, mix)
@@ -584,23 +657,17 @@ func (c *conn) runJob(ctx context.Context, r *exp.Runner, j *job, def exp.System
 		// sim.Result's encoding is deterministic (fixed field order,
 		// sorted maps), so every client joined to the same *sim.Result
 		// receives byte-identical frames without coordination.
-		var data []byte
-		if data, err = res.MarshalJSON(); err == nil {
-			var payload []byte
-			if payload, err = json.Marshal(wire.ResultMsg{ID: j.id, Result: data}); err == nil {
-				j.setState(wire.StateDone)
-				_ = c.sendRaw(wire.TypeResult, payload)
-				return
-			}
+		var doc []byte
+		if doc, err = c.srv.docs.encode(res); err == nil {
+			c.deliver(j, wire.StateDone, "", "", wire.AppendResult(nil, j.id, doc))
+			return
 		}
 	}
 	if errors.Is(err, context.Canceled) {
-		j.setState(wire.StateCanceled)
-		_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: wire.CodeCanceled, Msg: err.Error()})
+		c.deliver(j, wire.StateCanceled, wire.CodeCanceled, err.Error(), nil)
 		return
 	}
-	j.setState(wire.StateFailed)
-	_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: wire.CodeFailed, Msg: err.Error()})
+	c.deliver(j, wire.StateFailed, wire.CodeFailed, err.Error(), nil)
 }
 
 // stream subscribes the connection to the job's progress ticks until the

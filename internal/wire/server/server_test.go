@@ -37,7 +37,7 @@ func testSubmit(id uint32) wire.Submit {
 
 // startServer serves on a loopback listener until the test ends and the
 // drain completes.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -326,7 +325,7 @@ func (c *conn) handleTraceStart(start wire.TraceStart) error {
 	}
 	j := &job{id: start.ID, sess: ts, state: wire.StateRunning, cancel: func() {}}
 	c.mu.Lock()
-	c.jobs[start.ID] = j
+	c.register(j)
 	c.mu.Unlock()
 	return c.send(wire.TypeTraceResume, wire.TraceResume{ID: start.ID, Pos: ts.resumePos()})
 }
@@ -365,26 +364,17 @@ func (c *conn) handleTraceEnd(end wire.TraceEnd) error {
 		defer c.jwg.Done()
 		<-ts.done
 		if ts.runErr != nil {
-			j.setState(wire.StateFailed)
-			code := wire.CodeFailed
 			if errors.Is(ts.runErr, context.Canceled) {
-				j.setState(wire.StateCanceled)
-				code = wire.CodeCanceled
+				c.deliver(j, wire.StateCanceled, wire.CodeCanceled, ts.runErr.Error(), nil)
+			} else {
+				c.deliver(j, wire.StateFailed, wire.CodeFailed, ts.runErr.Error(), nil)
 			}
-			_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: code, Msg: ts.runErr.Error()})
 			return
 		}
-		// The same encode path as runJob: sim.Result JSON is deterministic,
+		// The same envelope as runJob: sim.Result JSON is deterministic,
 		// so a resumed client receives byte-identical result bytes to a
 		// local run of the identical instruction stream.
-		payload, err := json.Marshal(wire.ResultMsg{ID: j.id, Result: ts.result})
-		if err != nil {
-			j.setState(wire.StateFailed)
-			_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: wire.CodeFailed, Msg: err.Error()})
-			return
-		}
-		j.setState(wire.StateDone)
-		_ = c.sendRaw(wire.TypeResult, payload)
+		c.deliver(j, wire.StateDone, "", "", wire.AppendResult(nil, j.id, ts.result))
 	}()
 	return nil
 }

@@ -24,11 +24,14 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
 // ProtocolVersion is negotiated by the HELLO handshake; the server
@@ -164,8 +167,11 @@ type Snapshot struct {
 }
 
 // ResultMsg terminates a successful job. Result holds the sim.Result JSON
-// document; the server encodes each result once, so every client joined
-// to the same run receives byte-identical bytes.
+// document. sim.Result's encoding is deterministic, so every client joined
+// to the same run receives byte-identical bytes. The server frames the
+// document with AppendResult and keeps the encoded document of any result
+// it has delivered more than once, so a hot result is encoded once; a
+// result delivered once is encoded for that delivery and not kept.
 type ResultMsg struct {
 	ID     uint32          `json:"id"`
 	Result json.RawMessage `json:"result"`
@@ -271,6 +277,70 @@ func SplitTraceBlock(payload []byte) (id uint32, nextOff uint64, frame []byte, e
 	nextOff = binary.BigEndian.Uint64(payload[4:])
 	return id, nextOff, payload[traceBlockHdrLen:], nil
 }
+
+// The RESULT envelope. AppendResult writes it and SplitResult reads it,
+// so the document inside is copied in and sliced out but never rescanned.
+const (
+	resultHead = `{"id":`
+	resultMid  = `,"result":`
+)
+
+// AppendResult appends the RESULT payload for job id carrying doc, a JSON
+// document in encoding/json's canonical compact form (what json.Marshal
+// and sim.Result.MarshalJSON emit). The bytes are exactly those of
+// json.Marshal(ResultMsg{ID: id, Result: doc}), so any JSON client reads
+// them, but doc is copied rather than compacted again.
+func AppendResult(dst []byte, id uint32, doc []byte) []byte {
+	dst = append(dst, resultHead...)
+	dst = strconv.AppendUint(dst, uint64(id), 10)
+	dst = append(dst, resultMid...)
+	if len(doc) == 0 {
+		dst = append(dst, "null"...) // json.Marshal's encoding of a nil RawMessage
+	} else {
+		dst = append(dst, doc...)
+	}
+	return append(dst, '}')
+}
+
+// SplitResult splits a RESULT payload in AppendResult's layout into the
+// job ID and the result document, which aliases payload. It checks the
+// envelope only and leaves the document to the caller's decoder, so the
+// payload is scanned once; a payload laid out any other way is rejected
+// with ErrBadPayload. Whenever SplitResult accepts a payload whose
+// document is valid JSON, Decode into ResultMsg yields the same ID and
+// document bytes.
+func SplitResult(payload []byte) (id uint32, doc []byte, err error) {
+	rest, ok := bytes.CutPrefix(payload, []byte(resultHead))
+	if !ok {
+		return 0, nil, fmt.Errorf("%w: RESULT: envelope does not open with %s", ErrBadPayload, resultHead)
+	}
+	var n uint64
+	digits := 0
+	for digits < len(rest) && rest[digits] >= '0' && rest[digits] <= '9' {
+		n = n*10 + uint64(rest[digits]-'0')
+		digits++
+		if n > math.MaxUint32 {
+			return 0, nil, fmt.Errorf("%w: RESULT: job ID overflows uint32", ErrBadPayload)
+		}
+	}
+	if digits == 0 || (digits > 1 && rest[0] == '0') {
+		return 0, nil, fmt.Errorf("%w: RESULT: malformed job ID", ErrBadPayload)
+	}
+	rest, ok = bytes.CutPrefix(rest[digits:], []byte(resultMid))
+	if !ok || len(rest) < 2 || rest[len(rest)-1] != '}' {
+		return 0, nil, fmt.Errorf("%w: RESULT: malformed envelope", ErrBadPayload)
+	}
+	doc = rest[:len(rest)-1]
+	// Decode would drop whitespace around the document; the canonical
+	// layout has none.
+	if isSpace(doc[0]) || isSpace(doc[len(doc)-1]) {
+		return 0, nil, fmt.Errorf("%w: RESULT: whitespace around the document", ErrBadPayload)
+	}
+	return uint32(n), doc, nil
+}
+
+// isSpace reports JSON insignificant whitespace.
+func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
 
 // WriteFrame writes one frame. payload may be nil. max bounds the frame
 // exactly as the peer's ReadFrame will (0 = DefaultMaxFrame), so an

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -153,4 +154,120 @@ func TestErrorStringsCarryContext(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "1024") {
 		t.Fatalf("size-limit error lacks the limit: %v", err)
 	}
+}
+
+// TestAppendResultMatchesMarshal: the RESULT writer produces exactly the
+// bytes json.Marshal(ResultMsg) does, so JSON clients keep working, and
+// SplitResult reads back the same ID and document.
+func TestAppendResultMatchesMarshal(t *testing.T) {
+	docs := []string{
+		``, // a nil document encodes as null
+		`null`,
+		`{}`,
+		`{"elapsed_ps":1,"apps":["mcf","lbm"],"m":{"a":-1.5e-7}}`,
+		`"\u003cscript\u003e \u0026 \u2028"`, // json.Marshal's HTML-safe escapes
+	}
+	for _, id := range []uint32{0, 7, 1 << 31, ^uint32(0)} {
+		for _, d := range docs {
+			var doc []byte
+			if d != "" {
+				doc = []byte(d)
+			}
+			want, err := json.Marshal(ResultMsg{ID: id, Result: doc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := AppendResult([]byte("prefix"), id, doc)
+			if !bytes.Equal(got[len("prefix"):], want) {
+				t.Fatalf("AppendResult(%d, %s) = %s, want %s", id, d, got[len("prefix"):], want)
+			}
+			gotID, gotDoc, err := SplitResult(want)
+			if err != nil {
+				t.Fatalf("SplitResult(%s): %v", want, err)
+			}
+			if d == "" {
+				d = "null"
+			}
+			if gotID != id || string(gotDoc) != d {
+				t.Fatalf("SplitResult(%s) = (%d, %s), want (%d, %s)", want, gotID, gotDoc, id, d)
+			}
+		}
+	}
+}
+
+func TestSplitResultRejects(t *testing.T) {
+	for _, p := range []string{
+		``,
+		`{}`,
+		`{"id":1}`,
+		`{"id":1,"result":}`,
+		`{"id":,"result":{}}`,
+		`{"id":01,"result":{}}`,
+		`{"id":-1,"result":{}}`,
+		`{"id":4294967296,"result":{}}`,
+		`{"id":99999999999999999999999,"result":{}}`,
+		`{"id":1,"result": {}}`,
+		`{"id":1,"result":{} }`,
+		`{"id":1, "result":{}}`,
+		`{"result":{},"id":1}`,
+		`{"ID":1,"result":{}}`,
+	} {
+		if id, doc, err := SplitResult([]byte(p)); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("SplitResult(%s) = (%d, %s, %v), want ErrBadPayload", p, id, doc, err)
+		}
+	}
+}
+
+// FuzzSplitResult: the RESULT reader never panics and never reads a
+// document differently from a JSON decoder. SplitResult checks only the
+// envelope and leaves the document to the caller's decoder (the client
+// decodes it into a sim.Result), so agreement is required for every
+// accepted payload whose document is valid JSON. Any valid input also
+// serves as a document for the writer, which must match json.Marshal.
+func FuzzSplitResult(f *testing.F) {
+	f.Add([]byte(`{"id":1,"result":{"elapsed_ps":1}}`), uint32(1))
+	f.Add([]byte(`{"id":0,"result":null}`), uint32(0))
+	f.Add([]byte(`{"id":4294967295,"result":[1,"<a>"]}`), ^uint32(0))
+	f.Add([]byte(`{"id":1,"result":1,"id":2}`), uint32(2))
+	f.Add([]byte(`{"id":1,"result":{} }`), uint32(3))
+	f.Add([]byte(`{"id":01,"result":{}}`), uint32(4))
+	f.Add([]byte(`{ "a" : "\u2028 & <" }`), uint32(5))
+	f.Add([]byte{}, uint32(6))
+
+	f.Fuzz(func(t *testing.T, payload []byte, id uint32) {
+		if gotID, doc, err := SplitResult(payload); err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("untyped error: %v", err)
+			}
+		} else if json.Valid(doc) {
+			var rm ResultMsg
+			if err := Decode(payload, &rm); err != nil {
+				t.Fatalf("SplitResult accepted %q, Decode rejects it: %v", payload, err)
+			}
+			if rm.ID != gotID || !bytes.Equal(rm.Result, doc) {
+				t.Fatalf("SplitResult(%q) = (%d, %q), Decode = (%d, %q)", payload, gotID, doc, rm.ID, rm.Result)
+			}
+		}
+
+		if !json.Valid(payload) {
+			return
+		}
+		// json.Marshal of a RawMessage yields the canonical compact form.
+		doc, err := json.Marshal(json.RawMessage(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ResultMsg{ID: id, Result: doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AppendResult(nil, id, doc)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendResult(%d, %q) = %q, json.Marshal = %q", id, doc, got, want)
+		}
+		gotID, gotDoc, err := SplitResult(got)
+		if err != nil || gotID != id || !bytes.Equal(gotDoc, doc) {
+			t.Fatalf("SplitResult(AppendResult(%d, %q)) = (%d, %q, %v)", id, doc, gotID, gotDoc, err)
+		}
+	})
 }
