@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	moca-served [-addr HOST:PORT] [-cache-dir DIR] [-shards N]
+//	moca-served [-addr HOST:PORT] [-cache-dir DIR]
 //
 // Clients: moca-sim -remote HOST:PORT, or internal/wire/client.
 //
@@ -36,7 +36,6 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:7654", "listen address")
 	measure := flag.Uint64("measure", 300_000, "default measured instructions per core (SUBMIT may override)")
 	window := flag.Uint64("profile-window", 300_000, "default profiling window (SUBMIT may override)")
-	shards := flag.Int("shards", 0, "worker goroutines per simulation (<= 1: serial)")
 	cacheDir := flag.String("cache-dir", os.Getenv("MOCA_CACHE_DIR"), "persistent run-cache directory (default $MOCA_CACHE_DIR; empty = disabled)")
 	cacheMode := flag.String("cache", envOr("MOCA_CACHE", "write"), "persistent cache mode: off, read, or write (default $MOCA_CACHE or write)")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown window for in-flight jobs")
@@ -54,7 +53,6 @@ func run() int {
 	cfg := server.Config{
 		Measure:       *measure,
 		ProfileWindow: *window,
-		Shards:        *shards,
 		DrainTimeout:  *drain,
 		ReadTimeout:   *readTimeout,
 		Logf:          log.New(os.Stderr, "moca-served: ", log.LstdFlags).Printf,

@@ -20,7 +20,6 @@
 //	walltime         no wall-clock/global-rand/env reads in the sim core
 //	hotalloc         no closures, fmt, or boxing in //moca:hotpath funcs
 //	behaviorversion  cache-visible schema changes bump sim.BehaviorVersion
-//	shardsafe        no cross-//moca:shard-domain access outside //moca:barrier funcs
 //	lockhold         no blocking operations while a mutex is held
 //	ctxflow          serving code must thread caller contexts into blocking work
 //	wiredispatch     exhaustive frame dispatch, full fuzz seeds, bounds before alloc

@@ -307,12 +307,6 @@ func TestResultCacheKeyCanonical(t *testing.T) {
 		t.Error("placement policy does not affect the key")
 	}
 
-	sharded := cfg
-	sharded.Shards = 4
-	if k, _ := ResultCacheKey(sharded, procs, 100, 200); k != base {
-		t.Error("Config.Shards leaked into the key: an execution strategy must not fragment the cache")
-	}
-
 	slow := cfg
 	slow.NoFastpath = true
 	if k, _ := ResultCacheKey(slow, procs, 100, 200); k != base {

@@ -1,10 +1,9 @@
 // Package difftest differentially tests the simulator's execution modes:
-// the same configuration is run under two execution strategies — shard
-// counts and/or the common-case fast path — and every observable output —
-// metrics, energy, placement, run trace, even error strings — must
-// match byte-for-byte. A mismatch is minimized to the first diverging
-// field and reported with enough context (tick, component, field) to
-// bisect the ordering bug that caused it.
+// the same configuration is run with the common-case fast path on and off,
+// and every observable output — metrics, energy, placement, run trace,
+// even error strings — must match byte-for-byte. A mismatch is minimized
+// to the first diverging field and reported with enough context (tick,
+// component, field) to bisect the ordering bug that caused it.
 package difftest
 
 import (
@@ -33,18 +32,17 @@ type Case struct {
 	Measure uint64
 }
 
-// Mode is one execution strategy: a shard count plus the fast-path
-// switch. Every Mode must produce byte-identical output for a given Case.
+// Mode is one execution strategy: the fast-path switch. Every Mode must
+// produce byte-identical output for a given Case.
 type Mode struct {
-	Shards     int
 	NoFastpath bool
 }
 
 func (m Mode) String() string {
 	if m.NoFastpath {
-		return fmt.Sprintf("%d shards/slow", m.Shards)
+		return "slow"
 	}
-	return fmt.Sprintf("%d shards/fast", m.Shards)
+	return "fast"
 }
 
 // Divergence pinpoints the first observable difference between two runs of
@@ -85,7 +83,6 @@ type outcome struct {
 
 func execute(c Case, m Mode) (outcome, error) {
 	cfg := c.Cfg
-	cfg.Shards = m.Shards
 	cfg.NoFastpath = m.NoFastpath
 	cfg.Obs.Metrics = true
 	tr := obs.NewTrace(0)
@@ -116,16 +113,10 @@ func execute(c Case, m Mode) (outcome, error) {
 	return outcome{res: data, events: tr.Events()}, nil
 }
 
-// Run executes the case at both shard counts (fast path on) and returns
-// the minimized first divergence, or nil when the outcomes are
-// byte-identical. The error covers harness failures only (invalid
-// configuration, marshaling).
-func Run(c Case, shardsA, shardsB int) (*Divergence, error) {
-	return RunModes(c, Mode{Shards: shardsA}, Mode{Shards: shardsB})
-}
-
 // RunModes executes the case under both execution modes and returns the
 // minimized first divergence, or nil when the outcomes are byte-identical.
+// The error covers harness failures only (invalid configuration,
+// marshaling).
 func RunModes(c Case, ma, mb Mode) (*Divergence, error) {
 	a, err := execute(c, ma)
 	if err != nil {

@@ -8,42 +8,10 @@ import (
 	"moca/internal/sim"
 )
 
-// TestMatrixSerialVsSharded is the differential harness: every matrix case
-// must be byte-identical between serial and 4-shard execution — metrics,
-// energy, run trace, and error strings alike.
-func TestMatrixSerialVsSharded(t *testing.T) {
-	for _, c := range Matrix(1) {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			d, err := Run(c, 1, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d != nil {
-				t.Fatalf("execution modes diverged:\n%s", d)
-			}
-		})
-	}
-}
-
-// TestMatrixShardOversubscription runs one case with more shards than the
-// system has cores or channels: the worker clamp must keep the result
-// identical rather than deadlock or reorder.
-func TestMatrixShardOversubscription(t *testing.T) {
-	c := Matrix(2)[0]
-	d, err := Run(c, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != nil {
-		t.Fatalf("16-shard run diverged from serial:\n%s", d)
-	}
-}
-
 // TestMigrationCopyDropParity: the best-effort migration copy path is
-// observable, and serial and sharded execution abandon exactly the same
-// copies — the drop count is part of the byte-identity contract, not a
-// mode-dependent artifact. Asserted both on the whole-run shard counter
+// observable, and fast and slow execution abandon exactly the same copies
+// — the drop count is part of the byte-identity contract, not a
+// mode-dependent artifact. Asserted both on the whole-run channel counter
 // and on the measured-window obs counter.
 func TestMigrationCopyDropParity(t *testing.T) {
 	var c Case
@@ -55,11 +23,11 @@ func TestMigrationCopyDropParity(t *testing.T) {
 	if c.Name == "" {
 		t.Fatal("matrix lost its migration case")
 	}
-	drops := map[int]uint64{}
-	counters := map[int]uint64{}
-	for _, shards := range []int{1, 4} {
+	drops := map[bool]uint64{}
+	counters := map[bool]uint64{}
+	for _, slow := range []bool{false, true} {
 		cfg := c.Cfg
-		cfg.Shards = shards
+		cfg.NoFastpath = slow
 		cfg.Obs.Metrics = true
 		sys, err := sim.New(cfg, c.Procs)
 		if err != nil {
@@ -69,16 +37,16 @@ func TestMigrationCopyDropParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drops[shards] = sys.MigrationCopyDrops()
-		counters[shards] = res.Obs.Counters["mem.migration_copy_drops"]
+		drops[slow] = sys.MigrationCopyDrops()
+		counters[slow] = res.Obs.Counters["mem.migration_copy_drops"]
 	}
-	if drops[1] != drops[4] {
-		t.Errorf("whole-run copy drops diverge: serial=%d sharded=%d", drops[1], drops[4])
+	if drops[false] != drops[true] {
+		t.Errorf("whole-run copy drops diverge: fast=%d slow=%d", drops[false], drops[true])
 	}
-	if counters[1] != counters[4] {
-		t.Errorf("measured-window drop counters diverge: serial=%d sharded=%d", counters[1], counters[4])
+	if counters[false] != counters[true] {
+		t.Errorf("measured-window drop counters diverge: fast=%d slow=%d", counters[false], counters[true])
 	}
-	t.Logf("migration copy drops: whole-run=%d, measured-window=%d", drops[1], counters[1])
+	t.Logf("migration copy drops: whole-run=%d, measured-window=%d", drops[false], counters[false])
 }
 
 // TestCompareDetectsDivergence proves the comparator actually fires: a
@@ -131,24 +99,20 @@ func TestCompareDetectsDivergence(t *testing.T) {
 	})
 }
 
-// TestMatrixFastpathAxis sweeps the second execution-strategy axis: with
-// the inline-hit/compute-batch fast path disabled, every matrix case must
-// stay byte-identical to the default fast execution, both serially and
-// under sharding.
+// TestMatrixFastpathAxis is the differential harness: with the
+// inline-hit/compute-batch fast path disabled, every matrix case must stay
+// byte-identical to the default fast execution — metrics, energy, run
+// trace, and error strings alike.
 func TestMatrixFastpathAxis(t *testing.T) {
 	for _, c := range Matrix(3) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			for _, shards := range []int{1, 4} {
-				fast := Mode{Shards: shards}
-				slow := Mode{Shards: shards, NoFastpath: true}
-				d, err := RunModes(c, fast, slow)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d != nil {
-					t.Fatalf("fast path diverged from slow path:\n%s", d)
-				}
+			d, err := RunModes(c, Mode{}, Mode{NoFastpath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != nil {
+				t.Fatalf("fast path diverged from slow path:\n%s", d)
 			}
 		})
 	}

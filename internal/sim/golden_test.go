@@ -104,65 +104,51 @@ func goldenCases(t *testing.T) []struct {
 //
 //	go test ./internal/sim -run TestGoldenRuns -update
 func TestGoldenRuns(t *testing.T) {
-	// Both execution modes are pinned to the same golden file: the sharded
-	// engine must be byte-identical to serial (see shard.go), so a golden
-	// divergence in exactly one mode is an ordering bug, not a model change.
-	shardCounts := []int{1, 4}
-	if testing.Short() {
-		shardCounts = []int{1}
-	}
 	for _, tc := range goldenCases(t) {
 		tc := tc
-		for _, shards := range shardCounts {
-			shards := shards
-			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.Obs.Metrics = true
-				cfg.Shards = shards
-				// The fast path is pinned to the same goldens as the event
-				// engine: CI reruns this suite with MOCA_FASTPATH=0 so the
-				// slow path can never rot while the fast path is the default.
-				cfg.NoFastpath = os.Getenv("MOCA_FASTPATH") == "0"
-				sys, err := New(cfg, []ProcSpec{tc.proc})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sys.Run(sys.SuggestedWarmup(), goldenMeasure)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := goldenFrom(res)
-				path := filepath.Join("testdata", "golden", tc.name+".json")
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Obs.Metrics = true
+			// The fast path is pinned to the same goldens as the event
+			// engine: CI reruns this suite with MOCA_FASTPATH=0 so the
+			// slow path can never rot while the fast path is the default.
+			cfg.NoFastpath = os.Getenv("MOCA_FASTPATH") == "0"
+			sys, err := New(cfg, []ProcSpec{tc.proc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(sys.SuggestedWarmup(), goldenMeasure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := goldenFrom(res)
+			path := filepath.Join("testdata", "golden", tc.name+".json")
 
-				if *update {
-					if shards != 1 {
-						t.Skip("goldens regenerate from the serial run")
-					}
-					data, err := json.MarshalIndent(got, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("wrote %s", path)
-					return
-				}
-
-				data, err := os.ReadFile(path)
+			if *update {
+				data, err := json.MarshalIndent(got, "", "  ")
 				if err != nil {
-					t.Fatalf("%v (regenerate with -update)", err)
-				}
-				var want goldenRecord
-				if err := json.Unmarshal(data, &want); err != nil {
 					t.Fatal(err)
 				}
-				compareGolden(t, got, want)
-			})
-		}
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s", path)
+				return
+			}
+
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			var want goldenRecord
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, got, want)
+		})
 	}
 }
 

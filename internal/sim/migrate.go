@@ -130,8 +130,6 @@ func (d *migDriver) startPage(job *copyJob) {
 // runs at window barriers, so the shootdowns have exclusive access to the
 // core shards; the copy traffic crosses to the channel shards through the
 // migration link and stays best-effort under controller backpressure.
-//
-//moca:barrier migration events run on the coordinator queue at barriers
 func (d *migDriver) copyLine(job *copyJob, off uint64) {
 	s := d.s
 	for _, c := range s.cores {

@@ -1,17 +1,16 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 
 	"moca/internal/event"
 )
 
 // FuzzWindowMerge feeds random per-shard message batches into the barrier
-// merge, staged once sequentially and once by concurrently running shard
-// goroutines: the merged sequence must be identical — worker completion
-// order can never leak into the deterministic (at, src, seq) order — and
-// per-shard staging order must be preserved within equal timestamps.
+// merge, once with the links in source order and once reversed: the merged
+// sequence must be identical — link order can never leak into the
+// deterministic (at, src, seq) order — and per-shard staging order must be
+// preserved within equal timestamps.
 func FuzzWindowMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
 	f.Add([]byte{}, uint8(1))
@@ -34,39 +33,29 @@ func FuzzWindowMerge(f *testing.F) {
 			batches[src] = append(batches[src], msg)
 		}
 
-		stage := func(concurrent bool) []linkMsg {
+		stage := func(reversed bool) []linkMsg {
 			links := make([]*shardLink, shards)
 			for s := range links {
 				links[s] = &shardLink{src: s, out: make([][]linkMsg, 1)}
+				links[s].out[0] = append(links[s].out[0], batches[s]...)
 			}
-			if concurrent {
-				var wg sync.WaitGroup
-				for s := range links {
-					s := s
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						links[s].out[0] = append(links[s].out[0], batches[s]...)
-					}()
-				}
-				wg.Wait()
-			} else {
-				for s := range links {
-					links[s].out[0] = append(links[s].out[0], batches[s]...)
+			if reversed {
+				for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
+					links[i], links[j] = links[j], links[i]
 				}
 			}
 			return mergeWindow(nil, links, 0)
 		}
 
 		seq := stage(false)
-		conc := stage(true)
+		rev := stage(true)
 
-		if len(seq) != len(conc) {
-			t.Fatalf("merge length diverged: sequential %d, concurrent %d", len(seq), len(conc))
+		if len(seq) != len(rev) {
+			t.Fatalf("merge length diverged: forward %d, reversed %d", len(seq), len(rev))
 		}
 		for i := range seq {
-			if seq[i] != conc[i] {
-				t.Fatalf("merge[%d] diverged:\nsequential %+v\nconcurrent %+v", i, seq[i], conc[i])
+			if seq[i] != rev[i] {
+				t.Fatalf("merge[%d] diverged:\nforward  %+v\nreversed %+v", i, seq[i], rev[i])
 			}
 		}
 

@@ -48,12 +48,9 @@ func (r *router) locate(lineAddr uint64) (ch int, local uint64) {
 
 // coreCtx is one core shard: the cpu, its private cache hierarchy, heap,
 // and stream, all driven by the shard's own event queue.
-//
-//moca:shard core
 type coreCtx struct {
 	proc      int
 	q         *event.Queue
-	link      *shardLink
 	app       *workload.App
 	core      *cpu.Core
 	hier      *cache.Hierarchy
@@ -61,8 +58,7 @@ type coreCtx struct {
 	profiler  *profile.Profiler
 	stream    cpu.Stream
 
-	// Phase bookkeeping, owned by the shard's worker during a window and
-	// by the coordinator at barriers.
+	// Phase bookkeeping (runPhase).
 	base    uint64
 	crossed bool
 	counted bool
@@ -85,7 +81,6 @@ type System struct {
 	q      *event.Queue // coordinator queue: migration epochs and copy pacing
 	cycle  event.Time
 	window event.Time
-	shards int
 	simNow event.Time // start of the next window
 
 	cores []*coreCtx
@@ -100,17 +95,7 @@ type System struct {
 	migrator *alloc.Migrator // nil unless PolicyMigrate
 	migLink  *shardLink
 
-	gate     *faultGate
-	pool     *shardPool // non-nil only while a parallel RunContext is active
-	fastpath bool       // !cfg.NoFastpath: inline hits + compute batching
-
-	// Phase parameters, published by the coordinator before dispatching a
-	// phase and read by the (hoisted, allocation-free) phase jobs below.
-	phaseWindowEnd event.Time
-	phaseTarget    uint64
-	phaseOnCross   func(*coreCtx, event.Time)
-	chanJob        func(w int) // built once per RunContext (parallel mode)
-	coreJob        func(w int)
+	fastpath bool // !cfg.NoFastpath: inline hits + compute batching
 
 	// Observability (nil unless cfg.Obs requests it). runTrace is the
 	// caller's sink; shards emit into traceStages (0 = OS/coordinator,
@@ -132,8 +117,6 @@ type System struct {
 
 // New assembles a system running one process per entry of procs (the
 // process index is the core index).
-//
-//moca:barrier construction happens before any worker goroutine exists
 func New(cfg Config, procs []ProcSpec) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -146,7 +129,6 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		cfg:      cfg,
 		q:        event.NewQueue(),
 		cycle:    cfg.Core.Cycle,
-		shards:   cfg.Shards,
 		fastpath: !cfg.NoFastpath,
 	}
 	s.window = windowCycles * s.cycle
@@ -158,9 +140,9 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 
 	// Observability: a per-system registry (concurrent runs never share
 	// one) and the caller's trace sink. Both stay nil when disabled, so
-	// every component hook below degrades to a nil check. Trace emissions
-	// go to per-shard stages so shard workers never contend on — or
-	// reorder — the caller's sink; flushTrace merges deterministically.
+	// every component hook below degrades to a nil check. Each shard emits
+	// trace events into its own stage, because shards run ahead of one
+	// another within a window; flushTrace merges them in timestamp order.
 	if cfg.Obs.Metrics {
 		s.reg = obs.NewRegistry()
 	}
@@ -252,8 +234,6 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		return nil, err
 	}
 	s.os = osys
-	s.gate = newFaultGate(len(procs), cfg.Shards > 1)
-	osys.SetFaultGate(s.gate.wait)
 	if cfg.Obs.Enabled() {
 		osys.AttachObs(s.reg, s.coordTrace, func(proc int) int64 {
 			return int64(s.cores[proc].q.Now())
@@ -293,7 +273,7 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		}
 		core.SetFastpath(s.fastpath)
 
-		ctx := &coreCtx{proc: i, q: cq, link: link, app: app, core: core, hier: hier, allocator: allocator, stream: stream}
+		ctx := &coreCtx{proc: i, q: cq, app: app, core: core, hier: hier, allocator: allocator, stream: stream}
 		if cfg.Profile {
 			prof := profile.New()
 			ctx.profiler = prof
@@ -350,9 +330,6 @@ func (s *System) SuggestedWarmup() uint64 {
 // Per-core statistics freeze as each core crosses its quota; cores keep
 // executing so memory contention persists until the last core finishes,
 // as in standard multi-program methodology.
-//
-// With cfg.Shards > 1 the shards execute on worker goroutines; results are
-// byte-identical to serial mode (see shard.go).
 func (s *System) Run(warmup, measure uint64) (*Result, error) {
 	return s.RunContext(context.Background(), warmup, measure)
 }
@@ -362,27 +339,10 @@ func (s *System) Run(warmup, measure uint64) (*Result, error) {
 // an in-flight run can be abandoned cleanly (Ctrl-C in the commands).
 // Cancellation never perturbs a run that completes: the poll is a
 // read-only check between deterministic windows.
-//
-//moca:barrier assembles per-shard results after the phases complete
 func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Result, error) {
 	if measure == 0 {
 		return nil, fmt.Errorf("sim: zero measurement window")
 	}
-	if s.shards > 1 {
-		workers := s.shards
-		if m := max(len(s.cores), len(s.chans)); workers > m {
-			workers = m
-		}
-		if workers > 1 {
-			s.pool = newShardPool(workers)
-			defer func() { s.pool.stop(); s.pool = nil }()
-			// Build the phase jobs once: dispatching a window must not
-			// allocate (the parameters travel through the phase* fields).
-			s.chanJob = func(w int) { s.chanWindow(w, s.pool.workers) }
-			s.coreJob = func(w int) { s.coreWindow(w, s.pool.workers) }
-		}
-	}
-
 	s.progressBase, s.progressTotal = 0, warmup+measure
 
 	if err := s.runPhase(ctx, warmup, nil); err != nil {

@@ -186,7 +186,6 @@ func (s *Server) traceSession(c *conn, start wire.TraceStart) (*traceSession, *w
 func (ts *traceSession) run(ctx context.Context, def exp.SystemDef, appSpec workload.AppSpec) {
 	defer close(ts.done)
 	cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
-	cfg.Shards = ts.srv.cfg.Shards
 	stream := &feedStream{s: ts, ctx: ctx}
 	sys, err := sim.New(cfg, []sim.ProcSpec{{App: appSpec, Input: workload.Ref, Stream: stream}})
 	if err != nil {
