@@ -44,7 +44,6 @@ func run() (code int) {
 	appName := flag.String("app", "", "single application to run")
 	mixName := flag.String("mix", "", "4-application workload set to run")
 	measure := flag.Uint64("measure", 300_000, "measured instructions per core")
-	fastpath := flag.Bool("fastpath", envOr("MOCA_FASTPATH", "1") != "0", "inline-hit and compute-batch fast path (byte-identical either way; default $MOCA_FASTPATH or on)")
 	window := flag.Uint64("profile-window", 300_000, "auto-profiling window (instructions)")
 	profiles := flag.String("profiles", "", "directory of <app>.profile.json files (skips auto-profiling)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of tables")
@@ -119,7 +118,6 @@ func run() (code int) {
 		}()
 	}
 	cfg.Obs = moca.ObsOptions{Metrics: *metrics, Trace: runTrace}
-	cfg.NoFastpath = !*fastpath
 
 	var cache *exp.RunCache
 	if *cacheDir != "" {

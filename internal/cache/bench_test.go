@@ -71,12 +71,11 @@ func TestMSHRIndexAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkHitProbe measures the inline-hit probe path the per-core fast
-// path rides: AccessLoad on a warm L1 line services the hit arithmetically
-// and reserves its event-order slot with a virtual event, then the drain
-// (RunUntil past the completion) expires the reservation. The whole
-// round-trip must stay at 0 allocs/op — an allocation here would be one
-// per memory access on the common path.
+// BenchmarkHitProbe measures the inline-hit probe path every load hit
+// rides: AccessLoad on a warm L1 line services the hit arithmetically and
+// reserves its event-order slot, then RunUntil advances past the
+// completion. The whole round-trip must stay at 0 allocs/op — an
+// allocation here would be one per memory access on the common path.
 func BenchmarkHitProbe(b *testing.B) {
 	q := event.NewQueue()
 	be := &fakeBackend{q: q, latency: 100 * event.Nanosecond}
@@ -95,7 +94,7 @@ func BenchmarkHitProbe(b *testing.B) {
 		h.fillL1(lines[i], false)
 	}
 	var sink funcSink = func(event.Time, Level) {}
-	// One warm round grows the queue's virtual-event buffer to steady state.
+	// One warm round reaches steady state before timing.
 	if at, _, _, inline := h.AccessLoad(lines[0], 0, sink, 0); inline {
 		q.RunUntil(at)
 	} else {
@@ -137,7 +136,7 @@ func TestHitProbeAllocBudget(t *testing.T) {
 	}
 	res := testing.Benchmark(BenchmarkHitProbe)
 	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("inline-hit probe allocates: %d allocs/op; the fast path must be allocation-free",
+		t.Fatalf("inline-hit probe allocates: %d allocs/op; the hit path must be allocation-free",
 			allocs)
 	}
 }

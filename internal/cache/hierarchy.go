@@ -111,8 +111,8 @@ type Hierarchy struct {
 	l1      *Cache
 	l2      *Cache
 
-	mshrs    *mshrIndex    // line address → in-flight entry, fixed size
-	freeMSHR []*mshrEntry  // entry pool; recycled on fill
+	mshrs    *mshrIndex   // line address → in-flight entry, fixed size
+	freeMSHR []*mshrEntry // entry pool; recycled on fill
 	// Misses stalled on a full MSHR file, split by op so read-priority
 	// admission (first read in arrival order, else oldest write) is O(1)
 	// instead of a scan past every queued write. Head indices mark the
@@ -121,8 +121,8 @@ type Hierarchy struct {
 	waitRHead int
 	waitW     []pendingMiss
 	waitWHead int
-	wbQ      []uint64      // writebacks awaiting backend acceptance
-	subQ     []*mshrEntry  // fetches awaiting backend acceptance (FIFO, deterministic)
+	wbQ       []uint64     // writebacks awaiting backend acceptance
+	subQ      []*mshrEntry // fetches awaiting backend acceptance (FIFO, deterministic)
 
 	stats      HierStats
 	pf         *prefetcher // nil unless enabled
@@ -238,6 +238,7 @@ const (
 )
 
 // OnEvent dispatches the hierarchy's pooled events (event.Handler).
+//
 //moca:hotpath
 func (h *Hierarchy) OnEvent(now event.Time, op int32, i64 int64, p any) {
 	switch op {
@@ -256,6 +257,7 @@ func (h *Hierarchy) OnEvent(now event.Time, op int32, i64 int64, p any) {
 
 // MemDone receives line completions from the backend (mem.DoneSink); the
 // token is the line address, which names the MSHR entry.
+//
 //moca:hotpath
 func (h *Hierarchy) MemDone(token uint64, at event.Time) {
 	if e := h.mshrs.lookup(token); e != nil {
@@ -283,8 +285,44 @@ func (h *Hierarchy) putMSHR(e *mshrEntry) {
 // address on behalf of memory object obj. sink, if non-nil, receives the
 // completion (with the given token) and the level that satisfied it. Stores
 // are posted: callers typically pass sink=nil and never stall on them.
+//
 //moca:hotpath
 func (h *Hierarchy) Access(addr uint64, obj uint64, write bool, sink AccessSink, token uint64) {
+	at, level, hit := h.lookup(addr, obj, write)
+	switch {
+	case !hit:
+		h.missPath(LineAddr(addr), obj, write, sink, token)
+	case sink != nil:
+		h.Promote(at, h.q.Reserve(), level, sink, token)
+	}
+}
+
+// AccessLoad is Access for a load with a sink, with clean L1 and L2 hits
+// serviced inline: the completion time is returned to the caller, which
+// settles the load itself, and only an event-order slot is reserved for
+// the delivery (event.Queue.Reserve) — no event is posted. A hit can never
+// have an MSHR conflict (a resident line is by definition not in flight),
+// so inline=true is always a clean hit; everything else (miss, merge,
+// MSHR-full) takes the miss path and reports inline=false, with the
+// completion delivered through sink. A caller that later needs the
+// completion callback after all (a dependent load) posts it with Promote.
+//
+//moca:hotpath
+func (h *Hierarchy) AccessLoad(addr uint64, obj uint64, sink AccessSink, token uint64) (readyAt event.Time, ord uint64, level Level, inline bool) {
+	at, level, hit := h.lookup(addr, obj, false)
+	if !hit {
+		h.missPath(LineAddr(addr), obj, false, sink, token)
+		return 0, 0, 0, false
+	}
+	return at, h.q.Reserve(), level, true
+}
+
+// lookup is the demand-access head shared by Access and AccessLoad: the
+// profiling hooks, the prefetcher, then the L1 and L2 lookups. On a hit it
+// returns the completion time and the level that satisfied it.
+//
+//moca:hotpath
+func (h *Hierarchy) lookup(addr uint64, obj uint64, write bool) (at event.Time, level Level, hit bool) {
 	lineAddr := LineAddr(addr)
 	cycle := h.cfg.CPUCycle
 
@@ -303,81 +341,33 @@ func (h *Hierarchy) Access(addr uint64, obj uint64, write bool, sink AccessSink,
 	}
 
 	if h.l1.Lookup(addr, write) {
-		if sink != nil {
-			at := h.q.Now() + event.Time(h.cfg.L1.LatencyCycles)*cycle
-			h.q.Post(at, h, hopDeliverL1, int64(token), sink)
-		}
-		return
+		return h.q.Now() + event.Time(h.cfg.L1.LatencyCycles)*cycle, L1Hit, true
 	}
-
 	// L1 miss: look up L2 after the L1 latency. The L2 copy stays clean;
 	// store dirtiness lives in L1 until eviction.
 	if h.l2.Lookup(addr, false) {
 		h.fillL1(lineAddr, write)
-		if sink != nil {
-			at := h.q.Now() + event.Time(h.cfg.L1.LatencyCycles+h.cfg.L2.LatencyCycles)*cycle
-			h.q.Post(at, h, hopDeliverL2, int64(token), sink)
-		}
-		return
+		return h.q.Now() + event.Time(h.cfg.L1.LatencyCycles+h.cfg.L2.LatencyCycles)*cycle, L2Hit, true
 	}
-
-	// LLC miss.
-	h.missPath(lineAddr, obj, write, sink, token)
+	return 0, 0, false
 }
 
-// AccessLoad is the non-scheduling probe variant of Access for loads with a
-// sink (the common-case fast path). It runs the exact same lookup body, but
-// a clean L1 or L2 hit is serviced inline: the completion time is returned
-// to the caller and a virtual event reserves the completion's slot in the
-// event order (event.PostVirtual) instead of posting a hopDeliver — no heap
-// record, no handler dispatch. A hit can never have an MSHR conflict (a
-// resident line is by definition not in flight), so inline=true is always a
-// clean hit; everything else (miss, merge, MSHR-full) falls through to the
-// identical slow-path tail and reports inline=false, with the completion
-// delivered through sink as usual. Callers that later need the completion
-// callback after all (a dependent load) rematerialize it with Promote.
-//moca:hotpath
-func (h *Hierarchy) AccessLoad(addr uint64, obj uint64, sink AccessSink, token uint64) (readyAt event.Time, ord uint64, level Level, inline bool) {
-	lineAddr := LineAddr(addr)
-	cycle := h.cfg.CPUCycle
-
-	if h.OnLoad != nil {
-		h.OnLoad(obj)
-	}
-	if h.pf != nil {
-		h.pf.demandTouch(lineAddr)
-		for _, target := range h.pf.observe(obj, lineAddr) {
-			h.issuePrefetch(target, obj)
-		}
-	}
-
-	if h.l1.Lookup(addr, false) {
-		at := h.q.Now() + event.Time(h.cfg.L1.LatencyCycles)*cycle
-		return at, h.q.PostVirtual(at), L1Hit, true
-	}
-	if h.l2.Lookup(addr, false) {
-		h.fillL1(lineAddr, false)
-		at := h.q.Now() + event.Time(h.cfg.L1.LatencyCycles+h.cfg.L2.LatencyCycles)*cycle
-		return at, h.q.PostVirtual(at), L2Hit, true
-	}
-	h.missPath(lineAddr, obj, false, sink, token)
-	return 0, 0, 0, false
-}
-
-// Promote converts an inline-serviced hit back into a real delivery event
-// in its original event-order slot (see AccessLoad): the sink's AccessDone
-// then fires at exactly the time and position the slow path would have.
+// Promote posts the delivery of an inline-serviced hit (see AccessLoad) as a
+// real event in the order slot AccessLoad reserved for it, so the sink's
+// AccessDone fires at the hit's completion time.
+//
 //moca:hotpath
 func (h *Hierarchy) Promote(at event.Time, ord uint64, level Level, sink AccessSink, token uint64) {
 	op := hopDeliverL1
 	if level == L2Hit {
 		op = hopDeliverL2
 	}
-	h.q.PromoteVirtual(at, ord, h, op, int64(token), sink)
+	h.q.PostReserved(at, ord, h, op, int64(token), sink)
 }
 
 // missPath is the LLC-miss tail shared by Access and AccessLoad: merge into
 // an in-flight MSHR, stall on a full file, or allocate.
+//
 //moca:hotpath
 func (h *Hierarchy) missPath(lineAddr, obj uint64, write bool, sink AccessSink, token uint64) {
 	if e := h.mshrs.lookup(lineAddr); e != nil {
@@ -421,6 +411,7 @@ func (h *Hierarchy) missPath(lineAddr, obj uint64, write bool, sink AccessSink, 
 // occupy the last few MSHRs, so demand loads are never starved by a burst
 // of posted stores (the read-over-write priority every real memory system
 // applies).
+//
 //moca:hotpath
 func (h *Hierarchy) mshrLimit(write bool) int {
 	limit := h.cfg.L2.MSHRs
@@ -491,6 +482,7 @@ func (h *Hierarchy) pumpSubmissions() {
 // issuePrefetch speculatively fetches a line into the L2. Prefetches never
 // queue: they are dropped when the line is resident or in flight, or when
 // the MSHR file lacks spare capacity beyond a small demand reserve.
+//
 //moca:hotpath
 func (h *Hierarchy) issuePrefetch(lineAddr uint64, obj uint64) {
 	if h.l2.Probe(lineAddr) || h.l1.Probe(lineAddr) {
@@ -512,6 +504,7 @@ func (h *Hierarchy) issuePrefetch(lineAddr uint64, obj uint64) {
 
 // onFill handles a returning memory line: fill L2 then L1 (maintaining
 // inclusion), wake waiters, free the MSHR, and admit stalled misses.
+//
 //moca:hotpath
 func (h *Hierarchy) onFill(e *mshrEntry, at event.Time) {
 	if v := h.l2.Fill(e.lineAddr, false); v.Valid {
@@ -549,6 +542,7 @@ func (h *Hierarchy) onFill(e *mshrEntry, at event.Time) {
 // admitWaiting admits misses stalled on the MSHR file, loads before stores
 // (read priority). A stalled miss may target a line that just became
 // present or in-flight again; re-run the full access path.
+//
 //moca:hotpath
 func (h *Hierarchy) admitWaiting() {
 	for {
@@ -582,6 +576,7 @@ func (h *Hierarchy) admitWaiting() {
 
 // reAccess re-executes a previously stalled miss without recounting cache
 // lookup stats (the miss was already counted when it first accessed).
+//
 //moca:hotpath
 func (h *Hierarchy) reAccess(m pendingMiss) {
 	if h.l2.Probe(m.lineAddr) {
@@ -607,6 +602,7 @@ func (h *Hierarchy) reAccess(m pendingMiss) {
 
 // fillL1 inserts a line into L1; a displaced dirty line merges into its L2
 // copy (guaranteed present by inclusion).
+//
 //moca:hotpath
 func (h *Hierarchy) fillL1(lineAddr uint64, dirty bool) {
 	if v := h.l1.Fill(lineAddr, dirty); v.Valid && v.Dirty {
@@ -659,6 +655,7 @@ func (h *Hierarchy) InvalidateLine(lineAddr uint64) (present, dirty bool) {
 }
 
 // armRetry schedules a pump of backpressured work a few cycles out.
+//
 //moca:hotpath
 func (h *Hierarchy) armRetry() {
 	if h.retryArmed {

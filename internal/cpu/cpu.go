@@ -92,23 +92,19 @@ type Translator interface {
 	Translate(vaddr uint64, write bool) (paddr uint64, ok bool)
 }
 
-// MemPort is the cache hierarchy interface the core issues accesses to. The
-// core registers itself as the sink and tokens completions with the load's
-// ROB index (see Core.AccessDone).
+// MemPort is the cache hierarchy interface the core issues accesses to
+// (cache.Hierarchy implements it). The core registers itself as the sink
+// and tokens completions with the load's ROB index (see Core.AccessDone).
+//
+// Stores go through Access with no sink. Loads go through AccessLoad, which
+// services a clean L1/L2 hit inline, returning the completion time, the
+// event-order slot reserved for it, and the hit level; on a miss it
+// delivers the completion through sink and reports inline=false. Promote
+// posts an inline completion as a real event in its reserved order slot —
+// the core uses it when a dependent load must be woken by the completion
+// callback.
 type MemPort interface {
 	Access(paddr uint64, obj uint64, write bool, sink cache.AccessSink, token uint64)
-}
-
-// FastPort is the optional non-scheduling probe interface a MemPort may
-// implement (cache.Hierarchy does). AccessLoad services a clean L1/L2 load
-// hit inline, returning the completion time, the event-order slot reserved
-// for it, and the hit level; on a miss or conflict it behaves exactly like
-// Access and reports inline=false. Promote rematerializes an inline
-// completion as a real event in its original order slot — the core uses it
-// when a dependent load must be woken by the completion callback. Output is
-// byte-identical whether or not the port is used (sim.Config.NoFastpath).
-type FastPort interface {
-	MemPort
 	AccessLoad(paddr uint64, obj uint64, sink cache.AccessSink, token uint64) (readyAt event.Time, ord uint64, level cache.Level, inline bool)
 	Promote(at event.Time, ord uint64, level cache.Level, sink cache.AccessSink, token uint64)
 }
@@ -183,12 +179,12 @@ type robEntry struct {
 	// still lies between head and this entry in ring order.
 	prevLoad int32
 
-	// Inline-hit servicing (FastPort): the load completed synchronously at
-	// issue; done flips when the core clock reaches readyAt (settle), or the
-	// completion is promoted back into a real event at slot virtOrd.
+	// Inline-hit servicing (MemPort.AccessLoad): the load completed
+	// synchronously at issue; done flips when the core clock reaches readyAt
+	// (settle), or the completion is promoted to a real event at slot ord.
 	inline  bool
 	readyAt event.Time
-	virtOrd uint64
+	ord     uint64
 }
 
 // Core is one simulated core. Drive it by calling Tick once per clock; the
@@ -200,7 +196,6 @@ type Core struct {
 	stream Stream
 	xlate  Translator
 	mem    MemPort
-	fast   FastPort   // non-nil only when the fast path is enabled
 	now    event.Time // current core clock (maintained by TickAt/FastForward)
 
 	rob        []robEntry // ring buffer
@@ -243,11 +238,11 @@ func New(id int, cfg Config, stream Stream, xlate Translator, mem MemPort) (*Cor
 		return nil, fmt.Errorf("cpu: nil stream, translator, or memory port")
 	}
 	c := &Core{
-		ID:     id,
-		cfg:    cfg,
-		stream: stream,
-		xlate:  xlate,
-		mem:    mem,
+		ID:       id,
+		cfg:      cfg,
+		stream:   stream,
+		xlate:    xlate,
+		mem:      mem,
 		rob:      make([]robEntry, cfg.ROBSize),
 		lastLoad: -1,
 	}
@@ -258,21 +253,6 @@ func New(id int, cfg Config, stream Stream, xlate Translator, mem MemPort) (*Cor
 		c.borrow = bs
 	}
 	return c, nil
-}
-
-// SetFastpath enables (or disables) the common-case fast path: inline hit
-// servicing through the memory port's FastPort interface and compute-run
-// batching via FastForward. It is a no-op when the port does not implement
-// FastPort. Retired instructions, stats, and event ordering are
-// byte-identical either way; the fast path only changes how they are
-// computed.
-func (c *Core) SetFastpath(on bool) {
-	c.fast = nil
-	if on {
-		if fp, ok := c.mem.(FastPort); ok {
-			c.fast = fp
-		}
-	}
 }
 
 // Stats returns a snapshot of the core's counters.
@@ -299,8 +279,8 @@ func (c *Core) Err() error { return c.faulted }
 func (c *Core) Tick() { c.TickAt(c.now + c.cfg.Cycle) }
 
 // TickAt is Tick at an absolute clock value: the simulator passes the cycle
-// it is driving, which the fast path needs to settle inline-serviced loads
-// (an inline load is done once now reaches its readyAt).
+// it is driving, which settles inline-serviced loads (an inline load is done
+// once now reaches its readyAt).
 //
 //moca:hotpath
 func (c *Core) TickAt(now event.Time) {
@@ -314,9 +294,9 @@ func (c *Core) TickAt(now event.Time) {
 }
 
 // settle flips an inline-serviced load to done once the core clock reaches
-// its completion time — exactly the cycle the slow path's delivery event
-// would have been observed by retire. No-op with the fast path off (inline
-// is never set).
+// its completion time — the cycle a delivery event at readyAt would have
+// been observed by retire.
+//
 //moca:hotpath
 func (c *Core) settle(e *robEntry) {
 	if e.inline && e.readyAt <= c.now {
@@ -405,6 +385,7 @@ func (c *Core) dispatch() {
 
 // maybeIssueLoad issues the load at ROB index idx unless it depends on an
 // earlier, still-incomplete load (pointer chasing).
+//
 //moca:hotpath
 func (c *Core) maybeIssueLoad(idx int) {
 	e := &c.rob[idx]
@@ -434,32 +415,30 @@ func (c *Core) maybeIssueLoad(idx int) {
 		e.done = true
 		return
 	}
-	if c.fast != nil {
-		readyAt, ord, level, inline := c.fast.AccessLoad(paddr, e.obj, c, uint64(idx))
-		if inline {
-			e.inline, e.readyAt, e.virtOrd, e.level = true, readyAt, ord, level
-			if c.nextDependentWaiting(idx) {
-				// A dependent already sits in the ROB waiting for this
-				// load's completion callback; keep the completion real.
-				c.promote(idx, e)
-			}
+	readyAt, ord, level, inline := c.mem.AccessLoad(paddr, e.obj, c, uint64(idx))
+	if inline {
+		e.inline, e.readyAt, e.ord, e.level = true, readyAt, ord, level
+		if c.nextDependentWaiting(idx) {
+			// A dependent already sits in the ROB waiting for this load's
+			// completion callback; keep the completion real.
+			c.promote(idx, e)
 		}
-		return
 	}
-	c.mem.Access(paddr, e.obj, false, c, uint64(idx))
 }
 
-// promote converts the inline-serviced load at idx back into a real
-// delivery event in its original event-order slot.
+// promote converts the inline-serviced load at idx into a real delivery
+// event in its reserved event-order slot.
+//
 //moca:hotpath
 func (c *Core) promote(idx int, e *robEntry) {
-	c.fast.Promote(e.readyAt, e.virtOrd, e.level, c, uint64(idx))
+	c.mem.Promote(e.readyAt, e.ord, e.level, c, uint64(idx))
 	e.inline = false
 }
 
 // nextDependentWaiting reports whether the next younger load is an unissued
 // dependent of the load at idx (mirrors wakeDependents' scan: only the
 // immediately next load can depend on idx).
+//
 //moca:hotpath
 func (c *Core) nextDependentWaiting(idx int) bool {
 	i := idx + 1
@@ -481,7 +460,7 @@ func (c *Core) nextDependentWaiting(idx int) bool {
 
 // FastForward retires a run of batchable cycles starting at now, strictly
 // before end, advancing the core clock in one call instead of one Tick per
-// cycle — the compute-run half of the fast path. A cycle is batchable when
+// cycle (compute-run batching). A cycle is batchable when
 // its whole Tick is replicable without touching the instruction stream, the
 // translator, or the event queue:
 //
@@ -497,6 +476,7 @@ func (c *Core) nextDependentWaiting(idx int) bool {
 // cycle. Memory instructions, stream refills, and everything else fall back
 // to per-cycle Ticks. Returns the number of cycles advanced; stats are
 // byte-identical to the same cycles executed through Tick.
+//
 //moca:hotpath
 func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, retired uint64) {
 	n := 0
@@ -513,7 +493,7 @@ func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, reti
 			stallEnd := end
 			if e.inline {
 				if e.readyAt <= now {
-					break // matured: the slow tick retires it
+					break // matured: a full Tick retires it
 				}
 				if e.readyAt < stallEnd {
 					stallEnd = e.readyAt
@@ -549,8 +529,9 @@ func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, reti
 
 // batchable reports whether the Tick at cycle now is replicable by
 // retire+dispatchComputes alone (see FastForward). It never touches the
-// stream: peeking could end it a cycle early and diverge from the slow
-// path.
+// stream: peeking could end it a cycle early and diverge from per-cycle
+// Ticks.
+//
 //moca:hotpath
 func (c *Core) batchable(now event.Time) bool {
 	if c.fb.valid && c.fb.in.Kind == Compute && int(c.fb.in.N) >= c.cfg.Width {
@@ -566,6 +547,7 @@ func (c *Core) batchable(now event.Time) bool {
 // dispatchComputes is dispatch restricted to the batchable cases: it drains
 // compute instructions from the fetch buffer (never refilling it) and
 // accounts ROB-full stalls, exactly as dispatch would.
+//
 //moca:hotpath
 func (c *Core) dispatchComputes() {
 	for i := 0; i < c.cfg.Width; i++ {

@@ -61,6 +61,17 @@ func (m *fixedMem) Access(paddr uint64, obj uint64, write bool, sink cache.Acces
 	})
 }
 
+// AccessLoad never services a hit inline: every load completes through
+// Access's delivery event.
+func (m *fixedMem) AccessLoad(paddr uint64, obj uint64, sink cache.AccessSink, token uint64) (event.Time, uint64, cache.Level, bool) {
+	m.Access(paddr, obj, false, sink, token)
+	return 0, 0, 0, false
+}
+
+func (m *fixedMem) Promote(event.Time, uint64, cache.Level, cache.AccessSink, uint64) {
+	panic("fixedMem: no inline completion to promote")
+}
+
 // runCore ticks the core against the queue until done or the cycle cap.
 func runCore(t *testing.T, c *Core, q *event.Queue, maxCycles int) {
 	t.Helper()

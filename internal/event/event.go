@@ -67,17 +67,6 @@ type Handle struct {
 	gen uint32
 }
 
-// virtRec is one virtual event: a completion the fast path serviced inline
-// (an L1/L2 hit whose latency is already known) that still owns a slot in
-// the event order. It carries no handler — its only observable life is the
-// executed-count credit it pays when the slow path would have run it, and
-// the possibility of being promoted back into a real event (PromoteVirtual)
-// if a dependent turns out to need the completion callback after all.
-type virtRec struct {
-	at  Time
-	ord uint64
-}
-
 // NilHandle is the zero Handle; it never names a pending wake.
 var NilHandle = Handle{idx: -1}
 
@@ -89,20 +78,15 @@ type Queue struct {
 	pool []rec
 	free []int32
 	heap []int32
-	virt []virtRec // pending virtual events, sorted by (at, ord)
 	seq  uint64
 	now  Time
 	runs uint64
 
-	// minAt caches the earliest pending timestamp across heap and virt
-	// (farFuture when both are empty), so the per-cycle QuietUntil guard
-	// is one compare instead of a heap peek. Every mutation of either
-	// structure refreshes it via refreshMin.
+	// minAt caches the heap head's timestamp (farFuture when the heap is
+	// empty), so the per-cycle QuietUntil guard and the per-batch NextTime
+	// bound are a field load instead of a pool pointer chase. Every heap
+	// mutation keeps it current.
 	minAt Time
-	// heapMin caches the heap head's timestamp alone (undefined when the
-	// heap is empty — NextTime checks the length first), so the per-batch
-	// NextTime bound is a field load instead of a pool pointer chase.
-	heapMin Time
 
 	// Observability instruments; nil (free) unless AttachObs was called.
 	obsScheduled *obs.Counter
@@ -136,8 +120,8 @@ func (q *Queue) Now() Time { return q.now }
 // Len returns the number of pending events (wakes included).
 func (q *Queue) Len() int { return len(q.heap) }
 
-// Executed returns the total number of events executed so far, including
-// virtual ticks accounted through Credit; wake events are excluded.
+// Executed returns the total number of events executed so far; wake events
+// are excluded.
 func (q *Queue) Executed() uint64 { return q.runs }
 
 //moca:hotpath
@@ -163,119 +147,48 @@ func (q *Queue) releaseRec(i int32) {
 // Post enqueues a pooled event for Handler h at the given absolute time.
 // Scheduling in the past is a simulator bug; it panics rather than silently
 // reordering time. Post performs no allocation when p is pointer-shaped.
+//
 //moca:hotpath
 func (q *Queue) Post(at Time, h Handler, op int32, i64 int64, p any) {
+	q.PostReserved(at, q.Reserve(), h, op, i64, p)
+}
+
+// Reserve takes the next event-order slot without scheduling anything. A
+// completion serviced inline (an L1/L2 hit whose latency is already known)
+// reserves one at the time the event would have been posted, so that if it
+// must become a real event after all (PostReserved) it runs in the same
+// order relative to the events posted in between. An unused reservation
+// costs nothing and is never counted.
+//
+//moca:hotpath
+func (q *Queue) Reserve() uint64 {
+	ord := q.seq
+	q.seq++
+	return ord
+}
+
+// PostReserved is Post into an order slot taken earlier by Reserve: among
+// events at the same timestamp it runs in reservation order, ahead of any
+// event posted after the reservation.
+//
+//moca:hotpath
+func (q *Queue) PostReserved(at Time, ord uint64, h Handler, op int32, i64 int64, p any) {
 	if at < q.now {
 		panic("event: scheduled in the past")
 	}
 	i := q.alloc()
 	r := &q.pool[i]
-	r.at, r.s, r.ord, r.wake = at, 0, q.seq, false
+	r.at, r.s, r.ord, r.wake = at, 0, ord, false
 	r.h, r.op, r.i64, r.p = h, op, i64, p
-	q.seq++
 	q.push(i)
 	if q.obsScheduled != nil {
 		q.obsScheduled.Inc()
-		q.obsDepth.RecordMax(int64(len(q.heap) + len(q.virt)))
-	}
-}
-
-// PostVirtual reserves the next event-order slot for a completion that is
-// being serviced inline (the common-case fast path): it consumes a sequence
-// number and counts as scheduled exactly like Post, but allocates no heap
-// record and never dispatches a handler. The credit for its execution is
-// paid when the event order reaches it (see expireBefore/RunUntil), so the
-// scheduled/executed counters and depth watermarks stay byte-identical to a
-// run where the completion was a real event. The returned ord names the
-// slot for PromoteVirtual.
-//moca:hotpath
-func (q *Queue) PostVirtual(at Time) uint64 {
-	if at < q.now {
-		panic("event: virtual event scheduled in the past")
-	}
-	ord := q.seq
-	q.seq++
-	i := len(q.virt)
-	q.virt = append(q.virt, virtRec{at: at, ord: ord})
-	for i > 0 && virtLess(q.virt[i], q.virt[i-1]) {
-		q.virt[i], q.virt[i-1] = q.virt[i-1], q.virt[i]
-		i--
-	}
-	if at < q.minAt {
-		q.minAt = at
-	}
-	if q.obsScheduled != nil {
-		q.obsScheduled.Inc()
-		q.obsDepth.RecordMax(int64(len(q.heap) + len(q.virt)))
-	}
-	return ord
-}
-
-// PromoteVirtual rematerializes the virtual event named by ord as a real
-// pooled event with its ORIGINAL order slot, so it runs exactly where the
-// slow path would have run it — the fast path uses this when a dependent
-// needs the completion callback after all. It was already counted as
-// scheduled by PostVirtual, so no counters move here. Panics on an unknown
-// ord (a promote after expiry is a simulator bug).
-//moca:hotpath
-func (q *Queue) PromoteVirtual(at Time, ord uint64, h Handler, op int32, i64 int64, p any) {
-	if at < q.now {
-		panic("event: virtual event promoted into the past")
-	}
-	for vi := range q.virt {
-		if q.virt[vi].ord != ord {
-			continue
-		}
-		copy(q.virt[vi:], q.virt[vi+1:])
-		q.virt = q.virt[:len(q.virt)-1]
-		i := q.alloc()
-		r := &q.pool[i]
-		r.at, r.s, r.ord, r.wake = at, 0, ord, false
-		r.h, r.op, r.i64, r.p = h, op, i64, p
-		q.push(i)
-		return
-	}
-	panic("event: promoting unknown virtual event")
-}
-
-// PendingVirtual returns the number of pending virtual events (tests).
-func (q *Queue) PendingVirtual() int { return len(q.virt) }
-
-//moca:hotpath
-func virtLess(a, b virtRec) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.ord < b.ord
-}
-
-// expireBefore pays the executed-count credit of every virtual event the
-// slow path would have run before the real event r: earlier timestamp, or
-// the same timestamp with r a wake (normal events sort before wakes) or an
-// earlier order slot — the exact less() ordering.
-//moca:hotpath
-func (q *Queue) expireBefore(r *rec) {
-	for len(q.virt) > 0 {
-		v := q.virt[0]
-		if v.at > r.at || (v.at == r.at && !r.wake && v.ord > r.ord) {
-			return
-		}
-		q.expireOne()
-	}
-}
-
-//moca:hotpath
-func (q *Queue) expireOne() {
-	copy(q.virt, q.virt[1:])
-	q.virt = q.virt[:len(q.virt)-1]
-	q.runs++
-	q.refreshMin()
-	if q.obsExecuted != nil {
-		q.obsExecuted.Inc()
+		q.obsDepth.RecordMax(int64(len(q.heap)))
 	}
 }
 
 // PostAfter enqueues a pooled event delay picoseconds after the current time.
+//
 //moca:hotpath
 func (q *Queue) PostAfter(delay Time, h Handler, op int32, i64 int64, p any) {
 	q.Post(q.now+delay, h, op, i64, p)
@@ -290,16 +203,15 @@ func (q *Queue) After(delay Time, fn Func) { q.Schedule(q.now+delay, fn) }
 
 // ScheduleWake enqueues a wake event: a reschedulable timer a component uses
 // to sleep until its next state change. Wakes differ from normal events in
-// three ways that together preserve bit-identical runs versus a model that
-// polls every device clock:
+// three ways:
 //
-//   - they are excluded from the scheduled/executed counters (the component
-//     accounts for the clock ticks it skips via Credit);
+//   - they are excluded from the scheduled/executed counters;
 //   - at equal timestamps they sort after every normal event, then among
 //     themselves by (s, arming order), where s is the time the equivalent
 //     polled event would have been scheduled (at minus one device clock,
 //     floored at the chain's arming time);
 //   - they can be pulled earlier in place through the returned Handle.
+//
 //moca:hotpath
 func (q *Queue) ScheduleWake(at, s Time, h Handler, op int32) Handle {
 	if at < q.now {
@@ -312,13 +224,14 @@ func (q *Queue) ScheduleWake(at, s Time, h Handler, op int32) Handle {
 	q.seq++
 	q.push(i)
 	if q.obsDepth != nil {
-		q.obsDepth.RecordMax(int64(len(q.heap) + len(q.virt)))
+		q.obsDepth.RecordMax(int64(len(q.heap)))
 	}
 	return Handle{idx: i, gen: r.gen}
 }
 
 // RescheduleWake moves a pending wake to a new time, keeping its arming
 // order. It panics if the handle's wake already fired (stale handle).
+//
 //moca:hotpath
 func (q *Queue) RescheduleWake(hd Handle, at, s Time) {
 	if at < q.now {
@@ -338,33 +251,21 @@ func (q *Queue) RescheduleWake(hd Handle, at, s Time) {
 	q.refreshMin()
 }
 
-// Credit accounts for virtual events: device-clock ticks a component proved
-// it could skip. They count exactly as if they had been scheduled and
-// executed, keeping the observability counters identical to a polling model.
-//moca:hotpath
-func (q *Queue) Credit(scheduled, executed uint64) {
-	q.runs += executed
-	if q.obsScheduled != nil {
-		q.obsScheduled.Add(scheduled)
-		q.obsExecuted.Add(executed)
-	}
-}
-
-// NextTime returns the timestamp of the earliest pending real event and
-// true, or (0, false) if the heap is empty. Virtual events are deliberately
-// excluded: they carry no handler, so nothing needs to stop for them — the
-// fast path uses NextTime to bound compute batches by the next event that
-// can actually change state.
+// NextTime returns the timestamp of the earliest pending event and true,
+// or (0, false) if the queue is empty. The core uses it to bound compute
+// batches by the next event that can change state.
+//
 //moca:hotpath
 func (q *Queue) NextTime() (Time, bool) {
 	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.heapMin, true
+	return q.minAt, true
 }
 
 // RunOne executes the earliest pending event, advancing Now to its
 // timestamp. It reports whether an event was executed.
+//
 //moca:hotpath
 func (q *Queue) RunOne() bool {
 	if len(q.heap) == 0 {
@@ -372,7 +273,6 @@ func (q *Queue) RunOne() bool {
 	}
 	i := q.heap[0]
 	r := &q.pool[i]
-	q.expireBefore(r)
 	at, h, op, i64, p, wake := r.at, r.h, r.op, r.i64, r.p, r.wake
 	q.popMin()
 	q.releaseRec(i)
@@ -388,32 +288,27 @@ func (q *Queue) RunOne() bool {
 }
 
 // QuietUntil reports whether RunUntil(t) would be a pure clock advance:
-// no event to run and no virtual expiry inside the bound. Callers on the
-// shard loops pair it with AdvanceTo to skip the RunUntil call — the two
-// halves together replicate exactly what RunUntil does in that case, so
-// the guarded and unguarded forms are interchangeable call for call. Both
-// halves are small enough to inline.
+// no event to run inside the bound. Callers on the shard loops pair it
+// with AdvanceTo to skip the RunUntil call — the two halves together
+// replicate exactly what RunUntil does in that case, so the guarded and
+// unguarded forms are interchangeable call for call. Both halves are small
+// enough to inline.
 //
 //moca:hotpath
 func (q *Queue) QuietUntil(t Time) bool {
 	return q.minAt > t
 }
 
-// refreshMin recomputes the cached earliest pending timestamp. Called
-// after every heap or virt mutation; the peek is trivial next to the
-// heap work those already did.
+// refreshMin recomputes the cached earliest pending timestamp after a
+// removal or reschedule; the peek is trivial next to the heap work those
+// already did.
 //
 //moca:hotpath
 func (q *Queue) refreshMin() {
-	m := farFuture
+	q.minAt = farFuture
 	if len(q.heap) > 0 {
-		m = q.pool[q.heap[0]].at
+		q.minAt = q.pool[q.heap[0]].at
 	}
-	q.heapMin = m
-	if len(q.virt) > 0 && q.virt[0].at < m {
-		m = q.virt[0].at
-	}
-	q.minAt = m
 }
 
 // AdvanceTo moves the clock forward to t without running anything. Only
@@ -441,7 +336,6 @@ func (q *Queue) RunUntil(t Time) int {
 		if r.at > t {
 			break
 		}
-		q.expireBefore(r)
 		at, h, op, i64, p, wake := r.at, r.h, r.op, r.i64, r.p, r.wake
 		q.popMin()
 		q.releaseRec(i)
@@ -455,9 +349,6 @@ func (q *Queue) RunUntil(t Time) int {
 		h.OnEvent(at, op, i64, p)
 		n++
 	}
-	for len(q.virt) > 0 && q.virt[0].at <= t {
-		q.expireOne()
-	}
 	if q.now < t {
 		q.now = t
 	}
@@ -465,18 +356,11 @@ func (q *Queue) RunUntil(t Time) int {
 }
 
 // Drain runs events until the queue is empty and returns the number
-// executed (expired virtual events included). Useful at the end of a
-// simulation to let in-flight memory traffic settle.
+// executed. Useful at the end of a simulation to let in-flight memory
+// traffic settle.
 func (q *Queue) Drain() int {
 	n := 0
 	for q.RunOne() {
-		n++
-	}
-	for len(q.virt) > 0 {
-		if at := q.virt[0].at; at > q.now {
-			q.now = at
-		}
-		q.expireOne()
 		n++
 	}
 	return n
@@ -484,6 +368,7 @@ func (q *Queue) Drain() int {
 
 // less orders the heap: time first, then normal events before wakes, then
 // FIFO by schedule order (wakes: virtual schedule time, then arming order).
+//
 //moca:hotpath
 func (q *Queue) less(a, b int32) bool {
 	ra, rb := &q.pool[a], &q.pool[b]
@@ -506,12 +391,8 @@ func (q *Queue) push(i int32) {
 	q.pool[i].pos = int32(pos)
 	q.up(pos)
 	// Inserting can only lower the minimum, and to exactly this record's
-	// timestamp — no need for refreshMin's head reads.
-	at := q.pool[i].at
-	if len(q.heap) == 1 || at < q.heapMin {
-		q.heapMin = at
-	}
-	if at < q.minAt {
+	// timestamp — no need for refreshMin's head read.
+	if at := q.pool[i].at; at < q.minAt {
 		q.minAt = at
 	}
 }
@@ -531,6 +412,7 @@ func (q *Queue) popMin() {
 
 // up sifts the element at heap position i toward the root; it reports
 // whether the element moved.
+//
 //moca:hotpath
 func (q *Queue) up(i int) bool {
 	moved := false

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"moca/internal/obs"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -346,6 +348,32 @@ func TestWakeOrdering(t *testing.T) {
 		}
 	}()
 	q.RescheduleWake(hd, 300, 299)
+}
+
+// TestReservedSlotOrder: an event posted into a slot reserved before two
+// same-timestamp posts runs ahead of them, and counts once in the
+// scheduled and executed counters; an unused reservation counts nothing.
+func TestReservedSlotOrder(t *testing.T) {
+	q := NewQueue()
+	reg := obs.NewRegistry()
+	q.AttachObs(reg)
+	var got []int64
+	ord := q.Reserve()
+	q.Reserve() // never used
+	q.Post(100, recordHandler{&got, 2}, 0, 0, nil)
+	q.Post(100, recordHandler{&got, 3}, 0, 0, nil)
+	q.PostReserved(100, ord, recordHandler{&got, 1}, 0, 0, nil)
+	q.Drain()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("execution order %v, want [1 2 3]", got)
+	}
+	snap := reg.Snapshot()
+	if s, e := snap.Counters["event.scheduled"], snap.Counters["event.executed"]; s != 3 || e != 3 {
+		t.Errorf("scheduled/executed = %d/%d, want 3/3", s, e)
+	}
+	if q.Executed() != 3 {
+		t.Errorf("Executed() = %d, want 3", q.Executed())
+	}
 }
 
 type recordHandler struct {

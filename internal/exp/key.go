@@ -45,11 +45,6 @@ func ResultCacheKey(cfg sim.Config, procs []sim.ProcSpec, measure, profileWindow
 	kc := cfg
 	kc.Name = ""
 	kc.Obs = obs.Options{}
-	// The fast path is an execution strategy, not a model parameter: fast
-	// and slow execution produce the same bytes (the golden suite and
-	// difftest prove it), so a slow-path run may serve a fast-path request
-	// and vice versa.
-	kc.NoFastpath = false
 	kps := make([]sim.ProcSpec, len(procs))
 	for i, p := range procs {
 		p.Stream = nil

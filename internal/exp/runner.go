@@ -115,10 +115,6 @@ type Runner struct {
 	// Parallelism bounds concurrent simulations. Zero means NumCPU (see
 	// effectiveParallelism).
 	Parallelism int
-	// NoFastpath disables the inline-hit / compute-batch fast path
-	// (sim.Config.NoFastpath). It is an execution strategy with
-	// byte-identical results, so it is excluded from cache keys.
-	NoFastpath bool
 	// Obs selects per-run observability. Each simulation builds its own
 	// metrics registry, so concurrent runs never share instruments; a
 	// Trace sink, if set, is shared and concurrency-safe.
@@ -405,7 +401,6 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 	cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
 	cfg.Chains = def.Chains
 	cfg.Obs = r.Obs
-	cfg.NoFastpath = r.NoFastpath
 
 	var cacheKey string
 	if r.Cache != nil {

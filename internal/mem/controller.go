@@ -174,9 +174,9 @@ func (s ChannelStats) RowHitRate() float64 {
 // while requests are pending, the controller computes the earliest clock
 // edge at which any command could issue (request arrival, bank timing
 // expiry, bus release, starvation onset, refresh deadline) and sleeps until
-// then on a single reschedulable wake event. The skipped clock ticks are
-// credited to the event queue's counters (Queue.Credit) so observability
-// snapshots are bit-identical to the polling model's.
+// then on a single reschedulable wake event. Wakes are not counted as
+// events (see event.Queue.ScheduleWake), so the queue's counters see only
+// the controller's real completion events.
 type Controller struct {
 	Name string
 
@@ -211,12 +211,6 @@ type Controller struct {
 	anchor      event.Time // chain arming time: clock edges are anchor + k*tCK
 	wake        event.Handle
 	wakeAt      event.Time
-
-	// Virtual-tick accounting: ticks the polling model would have executed.
-	// vtClosed accumulates finished chains; SyncObs adds the live chain and
-	// flushes deltas into the queue's scheduled/executed counters.
-	vtClosed                    uint64
-	creditedSched, creditedExec uint64
 
 	// Observability; all nil (free) unless AttachObs was called. The
 	// counters aggregate across every channel attached to one registry.
@@ -333,6 +327,7 @@ const (
 
 // Enqueue presents a request to the channel. It reports false when the
 // controller queue is full (backpressure); the caller must retry later.
+//
 //moca:hotpath
 func (c *Controller) Enqueue(r *Request) bool {
 	if c.qLen+c.pendingArrivals >= c.cfg.MaxQueue {
@@ -349,6 +344,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 // the Request (recycled through a free list) and completion is delivered to
 // sink.MemDone(token, at) instead of a per-request closure. A nil sink
 // (writebacks, copy traffic) completes silently.
+//
 //moca:hotpath
 func (c *Controller) EnqueueLine(addr uint64, write bool, core int, obj uint64, sink DoneSink, token uint64) bool {
 	if c.qLen+c.pendingArrivals >= c.cfg.MaxQueue {
@@ -391,6 +387,7 @@ func (c *Controller) release(r *Request) {
 }
 
 // OnEvent implements event.Handler.
+//
 //moca:hotpath
 func (c *Controller) OnEvent(now event.Time, op int32, i64 int64, p any) {
 	switch op {
@@ -453,9 +450,9 @@ func (c *Controller) onPreDone(now event.Time, bankIdx int) {
 	if !c.chainActive {
 		if c.qLen == 0 {
 			// The polling model would start a chain here that runs one
-			// no-op tick and dies; account it without a wake.
+			// no-op tick and dies; apply its refresh bookkeeping without
+			// a wake.
 			c.refreshCatchUp(now)
-			c.vtClosed++
 		} else {
 			c.armChain(now)
 		}
@@ -467,6 +464,7 @@ func (c *Controller) onPreDone(now event.Time, bankIdx int) {
 // armChain starts a wake chain: the polling model's armTick scheduling an
 // immediate tick. The wake fires at the current time, after every normal
 // event already pending at it, exactly like a zero-delay tick would.
+//
 //moca:hotpath
 func (c *Controller) armChain(now event.Time) {
 	c.chainActive = true
@@ -479,6 +477,7 @@ func (c *Controller) armChain(now event.Time) {
 // (arrival, precharge completion) and pulls the pending wake earlier if
 // needed. State changes between wakes only ever add options, so the wake
 // never moves later here.
+//
 //moca:hotpath
 func (c *Controller) pullWake(now event.Time) {
 	at, s := c.nextWake(now, now, false)
@@ -491,6 +490,7 @@ func (c *Controller) pullWake(now event.Time) {
 // onWake runs one scheduler activation at a clock edge: refresh
 // bookkeeping, then up to CommandsPerTick command issues, then either chain
 // death (queue empty) or a sleep until the next actionable edge.
+//
 //moca:hotpath
 func (c *Controller) onWake(now event.Time) {
 	c.refreshCatchUp(now)
@@ -503,8 +503,7 @@ func (c *Controller) onWake(now event.Time) {
 	}
 	if c.qLen == 0 {
 		// Chain dies on the edge where the queue empties, same as the
-		// polling model; credit every tick it would have executed.
-		c.vtClosed += uint64((now-c.anchor)/c.httime.TCK) + 1
+		// polling model.
 		c.chainActive = false
 		return
 	}
@@ -516,6 +515,7 @@ func (c *Controller) onWake(now event.Time) {
 // refreshCatchUp applies refresh intervals that have elapsed: all banks
 // close and stay busy for tRFC. Modeled as a bank-timing update, not a
 // queued command.
+//
 //moca:hotpath
 func (c *Controller) refreshCatchUp(now event.Time) {
 	for now >= c.nextRefreshAt {
@@ -547,6 +547,7 @@ func (c *Controller) refreshCatchUp(now event.Time) {
 // but a late wake would diverge, so candidates are exact lower bounds.
 // cptExhausted marks an activation that used its full command budget: more
 // work may be possible on the very next edge.
+//
 //moca:hotpath
 func (c *Controller) nextWake(now, lower event.Time, cptExhausted bool) (at, s event.Time) {
 	const far = int64(1) << 62
@@ -662,6 +663,7 @@ func (c *Controller) nextWake(now, lower event.Time, cptExhausted bool) (at, s e
 // mapAddress decodes the module-local RoRaBaChCo address interleave: the
 // column bits are the least significant, then the bank bits, then the row.
 // (The Ch bits were consumed when the system routed to this channel.)
+//
 //moca:hotpath
 func (c *Controller) mapAddress(r *Request) {
 	bankBits := c.bankBits
@@ -677,7 +679,6 @@ func (c *Controller) mapAddress(r *Request) {
 // issueOne issues the single best command available this cycle, preferring
 // CAS (completes a request) over ACT over PRE so data flows as early as
 // possible. Returns false if no command could issue.
-//moca:hotpath
 // issueOne picks and issues the highest-priority ready command: the oldest
 // CAS (row hits inherently win under FR-FCFS because conflicting requests
 // are not CAS-ready), else the oldest ACT into a closed bank, else the
@@ -688,6 +689,7 @@ func (c *Controller) mapAddress(r *Request) {
 // claim the bus) and the PRE row-still-wanted test. The fused scan issues
 // exactly what the three separate oldest-first scans would.
 //
+//moca:hotpath
 //moca:hotpath
 func (c *Controller) issueOne(now event.Time) bool {
 	if c.qHead == nil {
@@ -772,6 +774,7 @@ func (c *Controller) issueOne(now event.Time) bool {
 
 // casDelay returns the CAS-to-data delay for a request: writes on
 // write-asymmetric devices (PCM) take far longer than reads.
+//
 //moca:hotpath
 func (c *Controller) casDelay(r *Request) event.Time {
 	if r.Write && c.httime.TCASWrite > 0 {
@@ -902,6 +905,7 @@ func (c *Controller) issuePRE(now event.Time, r *Request) {
 
 // removeRequest unlinks a served request from the global FIFO and its
 // bank's list in O(1).
+//
 //moca:hotpath
 func (c *Controller) removeRequest(r *Request) {
 	if r.prevQ != nil {
@@ -931,25 +935,6 @@ func (c *Controller) removeRequest(r *Request) {
 	if b.openRow == int64(r.row) {
 		b.rowMatch--
 	}
-}
-
-// SyncObs flushes the virtual-tick account into the event queue's
-// scheduled/executed counters, making them read exactly as if the
-// controller had polled every device clock. The simulator calls it
-// immediately before resetting or snapshotting the metrics registry — the
-// only two points where counter values are observed.
-func (c *Controller) SyncObs() {
-	exec := c.vtClosed
-	sched := c.vtClosed
-	if c.chainActive {
-		// Ticks the polling chain would have executed by now, plus the
-		// one it would currently have pending (scheduled, not executed).
-		n := uint64((c.q.Now()-c.anchor)/c.httime.TCK) + 1
-		exec += n
-		sched += n + 1
-	}
-	c.q.Credit(sched-c.creditedSched, exec-c.creditedExec)
-	c.creditedSched, c.creditedExec = sched, exec
 }
 
 // IdealReadLatency returns the unloaded read latency of this channel: a

@@ -99,13 +99,6 @@ type Config struct {
 	// Obs selects runtime observability (metrics registry and/or run-trace
 	// sink). Zero value: disabled — the hot path pays only nil checks.
 	Obs obs.Options
-	// NoFastpath disables the common-case fast path (inline L1/L2 hit
-	// servicing and compute-run batching; zero value: enabled). It is an
-	// execution strategy, not a model parameter: output is byte-identical
-	// either way (internal/sim/difftest proves it), so the experiment
-	// cache excludes it from its keys. The escape hatch exists
-	// so the slow path stays testable (-fastpath=false, MOCA_FASTPATH=0).
-	NoFastpath bool
 	// Progress, if non-nil, is called periodically during RunContext with
 	// the whole-run completion (done out of total, in per-core retired
 	// instructions over warmup + measure). The hook runs at a window

@@ -15,7 +15,9 @@ import (
 // v3: windowed execution engine — every core->channel submission pays a
 // fixed one-window link latency (windowCycles cycles), so memory timing
 // shifts uniformly relative to v2.
-const BehaviorVersion = 3
+// v4: event.* counts only events the queue runs; no virtual hits, no
+// credited polling ticks; every other field equals v3.
+const BehaviorVersion = 4
 
 // resultWire adds the unexported energy accumulators to the wire format so
 // a Result survives a disk round-trip with MemEnergyJ/SystemEDP intact.

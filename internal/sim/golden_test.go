@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"moca/internal/classify"
+	"moca/internal/event"
 	"moca/internal/heap"
 	"moca/internal/mem"
 	"moca/internal/obs"
@@ -65,36 +66,108 @@ func goldenFrom(res *Result) goldenRecord {
 	return g
 }
 
+// goldenCase is one reference run: a configuration, one process per core,
+// and an explicit warm-up and measured window.
+type goldenCase struct {
+	name    string
+	cfg     Config
+	procs   []ProcSpec
+	warmup  uint64
+	measure uint64
+}
+
 // goldenCases are the reference configurations: the simplest homogeneous
-// baseline and a full MOCA heterogeneous run with hand-built classes.
-func goldenCases(t *testing.T) []struct {
-	name string
-	cfg  Config
-	proc ProcSpec
-} {
+// baseline and a full MOCA heterogeneous run with hand-built classes, then
+// short multi-program runs covering every placement policy, several core
+// counts, a shrunk L2 and a migration engine with a short epoch. The two
+// long runs warm up for their apps' initialization plus 100k instructions.
+func goldenCases(t *testing.T) []goldenCase {
 	disparity := workload.Disparity()
 	cm := classMapFor(t, disparity, map[string]classify.Class{
 		"images":        classify.BandwidthSensitive,
 		"disparity_map": classify.LatencySensitive,
 		"kernel_buf":    classify.NonIntensive,
 	})
-	return []struct {
-		name string
-		cfg  Config
-		proc ProcSpec
-	}{
+	ref := func(spec workload.AppSpec) ProcSpec {
+		return ProcSpec{App: spec, Input: workload.Ref}
+	}
+	classed := func(spec workload.AppSpec, class classify.Class) ProcSpec {
+		return ProcSpec{App: spec, Input: workload.Ref, AppClass: class}
+	}
+	smallL2 := func(cfg Config) Config {
+		cfg.CacheL2.SizeBytes /= 4
+		return cfg
+	}
+	shortEpoch := func(cfg Config) Config {
+		cfg.MigrationEpoch = 5 * event.Microsecond
+		return cfg
+	}
+	return []goldenCase{
 		{
-			name: "homogen-ddr3-mcf",
-			cfg:  DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed),
-			proc: ProcSpec{App: workload.MCF(), Input: workload.Ref},
+			name:    "homogen-ddr3-mcf",
+			cfg:     DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed),
+			procs:   []ProcSpec{ref(workload.MCF())},
+			warmup:  109_130,
+			measure: goldenMeasure,
 		},
 		{
 			name: "moca-config1-disparity",
 			cfg:  DefaultConfig("moca", Heterogeneous(Config1), PolicyMOCA),
-			proc: ProcSpec{
+			procs: []ProcSpec{{
 				App: disparity, Input: workload.Ref,
 				Classes: cm, AppClass: classify.LatencySensitive,
+			}},
+			warmup:  107_125,
+			measure: goldenMeasure,
+		},
+		{
+			name:    "fixed-ddr3-1core",
+			cfg:     DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed),
+			procs:   []ProcSpec{ref(workload.GCC())},
+			measure: 4000,
+		},
+		{
+			name:    "fixed-ddr3-2core-smalll2",
+			cfg:     smallL2(DefaultConfig("homogen-ddr3", Homogeneous(mem.DDR3), PolicyFixed)),
+			procs:   []ProcSpec{ref(workload.GCC()), ref(workload.Libquantum())},
+			warmup:  2000,
+			measure: 3000,
+		},
+		{
+			name: "fixed-hbm-4core",
+			cfg:  DefaultConfig("homogen-hbm", Homogeneous(mem.HBM), PolicyFixed),
+			procs: []ProcSpec{
+				ref(workload.GCC()), ref(workload.Libquantum()),
+				ref(workload.Disparity()), ref(workload.MCF()),
 			},
+			measure: 2500,
+		},
+		{
+			name: "heterapp-config1-4core",
+			cfg:  DefaultConfig("heter-app", Heterogeneous(Config1), PolicyAppLevel),
+			procs: []ProcSpec{
+				classed(workload.GCC(), classify.LatencySensitive),
+				classed(workload.Libquantum(), classify.BandwidthSensitive),
+				classed(workload.Disparity(), classify.NonIntensive),
+				classed(workload.MCF(), classify.LatencySensitive),
+			},
+			warmup:  1000,
+			measure: 2500,
+		},
+		{
+			name: "heterapp-config2-2core-smalll2",
+			cfg:  smallL2(DefaultConfig("heter-app", Heterogeneous(Config2), PolicyAppLevel)),
+			procs: []ProcSpec{
+				classed(workload.GCC(), classify.LatencySensitive),
+				classed(workload.Libquantum(), classify.BandwidthSensitive),
+			},
+			measure: 3000,
+		},
+		{
+			name:    "migrate-config1-2core",
+			cfg:     shortEpoch(DefaultConfig("migrate", Heterogeneous(Config1), PolicyMigrate)),
+			procs:   []ProcSpec{ref(workload.GCC()), ref(workload.Libquantum())},
+			measure: 3000,
 		},
 	}
 }
@@ -109,15 +182,11 @@ func TestGoldenRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Obs.Metrics = true
-			// The fast path is pinned to the same goldens as the event
-			// engine: CI reruns this suite with MOCA_FASTPATH=0 so the
-			// slow path can never rot while the fast path is the default.
-			cfg.NoFastpath = os.Getenv("MOCA_FASTPATH") == "0"
-			sys, err := New(cfg, []ProcSpec{tc.proc})
+			sys, err := New(cfg, tc.procs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sys.Run(sys.SuggestedWarmup(), goldenMeasure)
+			res, err := sys.Run(tc.warmup, tc.measure)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -117,12 +117,11 @@ type chanShard struct {
 	sinks []mem.DoneSink // pre-boxed per-core completion sinks
 	bp    []uint64       // per-core rejected-submission counts
 
-	// copyDrops counts migration copies abandoned under controller
-	// backpressure (the best-effort path), mirrored into the
-	// mem.migration_copy_drops obs counter so the loss is observable.
-	copyDrops uint64
-	reg       *obs.Registry
-	dropCtr   *obs.Counter
+	// reg and dropCtr count migration copies abandoned under controller
+	// backpressure (the best-effort path) in the mem.migration_copy_drops
+	// obs counter, so the loss is observable.
+	reg     *obs.Registry
+	dropCtr *obs.Counter
 }
 
 // chanSink stages one core's completions on its channel shard.
@@ -217,24 +216,12 @@ func (cs *chanShard) drainPending(now event.Time) {
 // counter is registered lazily on the first drop so runs that never drop
 // keep their metrics snapshots unchanged.
 func (cs *chanShard) dropCopy() {
-	cs.copyDrops++
 	if cs.reg != nil {
 		if cs.dropCtr == nil {
 			cs.dropCtr = cs.reg.Counter("mem.migration_copy_drops")
 		}
 		cs.dropCtr.Inc()
 	}
-}
-
-// MigrationCopyDrops sums abandoned migration copies across channels
-// (whole run, including warmup; the obs counter covers the measured
-// window only).
-func (s *System) MigrationCopyDrops() uint64 {
-	var n uint64
-	for _, cs := range s.chans {
-		n += cs.copyDrops
-	}
-	return n
 }
 
 func (cs *chanShard) armRetry(now event.Time) {
@@ -402,11 +389,10 @@ func (s *System) runChannelPhase(windowEnd event.Time) (err error) {
 // order. A panicking core shard is recovered into a keyed error on that
 // core, and the remaining cores skip the rest of the window.
 //
-// With the fast path on, a core may batch ahead of the lockstep cycle t:
-// c.tickAt is its private clock cursor (the next cycle it still has to
-// execute), and cycles below it are skipped. Batched spans are proven
-// fault-free (no memory ops, no translations), so batching cannot reorder
-// any page fault.
+// A core may batch ahead of the lockstep cycle t (tryBatch): c.tickAt is
+// its private clock cursor (the next cycle it still has to execute), and
+// cycles below it are skipped. Batched spans are proven fault-free (no
+// memory ops, no translations), so batching cannot reorder any page fault.
 func (s *System) runCorePhase(windowEnd event.Time, target uint64, onCross func(*coreCtx, event.Time)) {
 	cur := -1
 	defer func() {
@@ -428,7 +414,7 @@ func (s *System) runCorePhase(windowEnd event.Time, target uint64, onCross func(
 			if c.dead {
 				continue
 			}
-			if s.fastpath && c.tickAt > t {
+			if c.tickAt > t {
 				if c.tickAt < next {
 					next = c.tickAt
 				}
@@ -440,13 +426,11 @@ func (s *System) runCorePhase(windowEnd event.Time, target uint64, onCross func(
 			} else {
 				c.q.RunUntil(t)
 			}
-			if s.fastpath {
-				if n := s.tryBatch(c, t, windowEnd, target, onCross); n > 0 {
-					if c.tickAt < next {
-						next = c.tickAt
-					}
-					continue
+			if n := s.tryBatch(c, t, windowEnd, target, onCross); n > 0 {
+				if c.tickAt < next {
+					next = c.tickAt
 				}
+				continue
 			}
 			c.core.TickAt(t)
 			c.tickAt = t + s.cycle
@@ -498,8 +482,8 @@ func (s *System) runCorePhase(windowEnd event.Time, target uint64, onCross func(
 
 // tryBatch retires a run of cycles for core c in one call, starting at
 // cycle t. The batch is bounded by the window barrier and by the core's
-// next queued event (NextTime deliberately ignores virtual events: an
-// inline hit matures by clock comparison, not by an event run). The budget
+// next queued event (an inline hit has no event: it matures by clock
+// comparison inside FastForward). The budget
 // stops the batch on the exact cycle the instruction quota is crossed, so
 // onCross observes the same timestamp the per-cycle loop would have
 // produced. Returns the number of cycles batched (0: fall back to a

@@ -65,7 +65,7 @@ type coreCtx struct {
 	dead    bool
 	runErr  error
 
-	// tickAt is the fast path's clock cursor: the next cycle this core
+	// tickAt is the core's clock cursor: the next cycle this core
 	// still has to execute. A compute batch advances it several cycles at
 	// once; the lockstep loop skips cycles below it (shard.go).
 	tickAt event.Time
@@ -94,8 +94,6 @@ type System struct {
 	route    *router
 	migrator *alloc.Migrator // nil unless PolicyMigrate
 	migLink  *shardLink
-
-	fastpath bool // !cfg.NoFastpath: inline hits + compute batching
 
 	// Observability (nil unless cfg.Obs requests it). runTrace is the
 	// caller's sink; shards emit into traceStages (0 = OS/coordinator,
@@ -126,10 +124,9 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 	}
 
 	s := &System{
-		cfg:      cfg,
-		q:        event.NewQueue(),
-		cycle:    cfg.Core.Cycle,
-		fastpath: !cfg.NoFastpath,
+		cfg:   cfg,
+		q:     event.NewQueue(),
+		cycle: cfg.Core.Cycle,
 	}
 	s.window = windowCycles * s.cycle
 
@@ -271,7 +268,6 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		core.SetFastpath(s.fastpath)
 
 		ctx := &coreCtx{proc: i, q: cq, app: app, core: core, hier: hier, allocator: allocator, stream: stream}
 		if cfg.Profile {
@@ -358,12 +354,7 @@ func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Resul
 	}
 	s.resetShardStats()
 	// The observability snapshot covers the same measured window as the
-	// component stats (nil-safe when metrics are disabled). Controllers
-	// first flush their virtual-tick accounts so the event counters read
-	// as if every device clock had been polled.
-	for _, ch := range s.channels {
-		ch.SyncObs()
-	}
+	// component stats (nil-safe when metrics are disabled).
 	s.reg.Reset()
 	start := s.simNow
 
@@ -376,9 +367,6 @@ func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (*Resul
 		return nil, err
 	}
 	end := s.simNow
-	for _, ch := range s.channels {
-		ch.SyncObs()
-	}
 	s.flushTrace()
 
 	res := &Result{
