@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,9 +14,11 @@ import (
 	"moca/internal/sim"
 )
 
-// cacheFormatVersion is the on-disk envelope format revision; bump it when
-// the envelope or payload schema changes incompatibly.
-const cacheFormatVersion = 1
+// cacheFormatVersion is the on-disk entry format revision; bump it when
+// the framing or payload schema changes incompatibly.
+// v2: line-framed entries (see RunCache) replace v1's JSON envelope; a v1
+// file fails framing on its own slot and is evicted like any stale entry.
+const cacheFormatVersion = 2
 
 // CacheMode selects how a RunCache participates in a run.
 type CacheMode int
@@ -23,8 +26,8 @@ type CacheMode int
 const (
 	// CacheOff disables the persistent cache entirely.
 	CacheOff CacheMode = iota
-	// CacheRead loads cached entries but never writes new ones (useful
-	// for reproducing from a sealed cache).
+	// CacheRead loads cached entries and never touches the directory:
+	// no writes, no evictions, no sweep (reproducing from a sealed cache).
 	CacheRead
 	// CacheReadWrite loads cached entries and persists new ones (the
 	// default when a cache directory is configured).
@@ -63,27 +66,26 @@ type CacheStats struct {
 	Hits      uint64 // entries served from disk
 	Misses    uint64 // lookups that found no usable entry
 	Writes    uint64 // entries persisted
-	Evictions uint64 // stale/corrupt entries removed on load
-}
-
-// envelope wraps every cached payload with its identity: the full
-// canonical key (hash collisions and schema drift are detected by string
-// comparison, not trusted to the filename) and the version salt. A salt
-// or key mismatch evicts the file — this is how a simulator behavior bump
-// (sim.BehaviorVersion) invalidates stale results in place.
-type envelope struct {
-	Salt    string          `json:"salt"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+	Evictions uint64 // stale/corrupt entries removed (read-write mode only)
 }
 
 // RunCache is a content-addressed persistent cache of simulation results
 // and offline profiles, shared across processes via a directory. Writes
 // are atomic and durable (temp file + fsync + rename + directory fsync),
 // so a crashed or killed run leaves only complete entries behind and the
-// next invocation resumes from them; opening the cache sweeps any crash
-// debris older tools may have left (orphaned temps, zero-byte entries).
-// All methods are safe for concurrent use.
+// next invocation resumes from them; opening the cache in read-write mode
+// sweeps any crash debris older tools may have left (orphaned temps,
+// zero-byte entries). All methods are safe for concurrent use.
+//
+// Each entry is line-framed: salt + "\n" + key + "\n" + payload, where the
+// payload is the JSON document. The full canonical key is stored, so hash
+// collisions and schema drift are caught by byte comparison rather than
+// trusted to the filename. Neither salt nor key can hold a newline (JSON
+// escapes control characters; store refuses one anyway), so two cuts
+// recover the frame. A salt or key mismatch, a missing frame or an
+// undecodable payload is a miss; in read-write mode the file is evicted so
+// the slot can be rewritten. This is how a simulator behavior bump
+// (sim.BehaviorVersion) invalidates stale results in place.
 type RunCache struct {
 	dir  string
 	mode CacheMode
@@ -92,7 +94,7 @@ type RunCache struct {
 	hits, misses, writes, evictions atomic.Uint64
 }
 
-// defaultCacheSalt versions every entry: the envelope format and the
+// defaultCacheSalt versions every entry: the entry format and the
 // simulator behavior revision.
 func defaultCacheSalt() string {
 	return fmt.Sprintf("moca-cache-v%d/sim-v%d", cacheFormatVersion, sim.BehaviorVersion)
@@ -111,7 +113,9 @@ func OpenRunCache(dir string, mode CacheMode) (*RunCache, error) {
 		return nil, fmt.Errorf("exp: creating cache directory: %w", err)
 	}
 	c := &RunCache{dir: dir, mode: mode, salt: defaultCacheSalt()}
-	c.sweep()
+	if mode == CacheReadWrite {
+		c.sweep()
+	}
 	return c, nil
 }
 
@@ -175,9 +179,11 @@ func (c *RunCache) path(kind, key string) string {
 	return filepath.Join(c.dir, kind+"-"+hashKey(key)+".json")
 }
 
-// load returns the payload stored under (kind, key), evicting entries
-// whose salt or canonical key does not match.
-func (c *RunCache) load(kind, key string) (json.RawMessage, bool) {
+// load returns the payload framed under (kind, key): a sub-slice of the
+// file, not a copy. A missing file is a miss; a file whose frame, salt or
+// key does not match is rejected. The caller counts the hit once its
+// payload decodes.
+func (c *RunCache) load(kind, key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -187,32 +193,45 @@ func (c *RunCache) load(kind, key string) (json.RawMessage, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Salt != c.salt || env.Key != key {
-		// Corrupt (e.g. a partial write from a pre-atomic tool), stale
-		// salt, or hash mismatch: remove so the slot can be rewritten.
-		c.evict(path)
-		c.misses.Add(1)
+	salt, rest, ok := bytes.Cut(data, newline)
+	if !ok || string(salt) != c.salt {
+		c.reject(kind, key)
 		return nil, false
 	}
-	c.hits.Add(1)
-	return env.Payload, true
+	k, payload, ok := bytes.Cut(rest, newline)
+	if !ok || string(k) != key {
+		c.reject(kind, key)
+		return nil, false
+	}
+	return payload, true
 }
 
-// store persists payload under (kind, key) atomically; no-op outside
-// read-write mode.
-func (c *RunCache) store(kind, key string, payload any) error {
-	if c == nil || c.mode != CacheReadWrite {
-		return nil
+var newline = []byte{'\n'}
+
+// reject counts a miss on an unusable entry — corrupt (e.g. a partial
+// write from a pre-atomic tool), stale salt, legacy format or hash
+// mismatch — and, in read-write mode, evicts it so the slot can be
+// rewritten. Read mode leaves the file alone.
+func (c *RunCache) reject(kind, key string) {
+	if c.writable() {
+		c.evict(c.path(kind, key))
 	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("exp: encoding cache entry: %w", err)
+	c.misses.Add(1)
+}
+
+// writable reports whether stores persist: only in read-write mode.
+func (c *RunCache) writable() bool { return c != nil && c.mode == CacheReadWrite }
+
+// store persists the encoded payload under (kind, key) atomically. Callers
+// encode and store only when the cache is writable.
+func (c *RunCache) store(kind, key string, payload []byte) error {
+	if strings.Contains(c.salt, "\n") || strings.Contains(key, "\n") {
+		return fmt.Errorf("exp: cache salt or %s key contains a newline", kind)
 	}
-	data, err := json.Marshal(envelope{Salt: c.salt, Key: key, Payload: raw})
-	if err != nil {
-		return fmt.Errorf("exp: encoding cache envelope: %w", err)
-	}
+	data := make([]byte, 0, len(c.salt)+len(key)+len(payload)+2)
+	data = append(append(data, c.salt...), '\n')
+	data = append(append(data, key...), '\n')
+	data = append(data, payload...)
 	path := c.path(kind, key)
 	tmp, err := os.CreateTemp(c.dir, "."+kind+"-*.tmp")
 	if err != nil {
@@ -269,25 +288,31 @@ func (c *RunCache) evict(path string) {
 }
 
 // LoadResult returns the cached simulation result for key, if present and
-// valid. An entry that fails to decode is evicted and reported as a miss.
+// valid. An entry that fails to decode is rejected and reported as a miss.
 func (c *RunCache) LoadResult(key string) (*sim.Result, bool) {
 	payload, ok := c.load("result", key)
 	if !ok {
 		return nil, false
 	}
-	var res sim.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		c.evict(c.path("result", key))
-		c.hits.Add(^uint64(0)) // undo the hit: the entry was unusable
-		c.misses.Add(1)
+	res := new(sim.Result)
+	if err := res.UnmarshalJSON(payload); err != nil {
+		c.reject("result", key)
 		return nil, false
 	}
-	return &res, true
+	c.hits.Add(1)
+	return res, true
 }
 
 // StoreResult persists a simulation result under key.
 func (c *RunCache) StoreResult(key string, res *sim.Result) error {
-	return c.store("result", key, res)
+	if !c.writable() {
+		return nil
+	}
+	payload, err := res.MarshalJSON()
+	if err != nil {
+		return fmt.Errorf("exp: encoding cache entry: %w", err)
+	}
+	return c.store("result", key, payload)
 }
 
 // LoadProfile returns the cached offline profile for key, if present and
@@ -299,15 +324,21 @@ func (c *RunCache) LoadProfile(key string) (profile.Profile, bool) {
 	}
 	pr, err := profile.Unmarshal(payload)
 	if err != nil {
-		c.evict(c.path("profile", key))
-		c.hits.Add(^uint64(0))
-		c.misses.Add(1)
+		c.reject("profile", key)
 		return profile.Profile{}, false
 	}
+	c.hits.Add(1)
 	return pr, true
 }
 
 // StoreProfile persists an offline profile under key.
 func (c *RunCache) StoreProfile(key string, pr profile.Profile) error {
-	return c.store("profile", key, pr)
+	if !c.writable() {
+		return nil
+	}
+	payload, err := json.Marshal(pr)
+	if err != nil {
+		return fmt.Errorf("exp: encoding cache entry: %w", err)
+	}
+	return c.store("profile", key, payload)
 }

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -127,23 +129,83 @@ func TestCacheSaltEviction(t *testing.T) {
 	}
 }
 
-// TestCacheReadMode: read-only mode serves hits but never writes.
+// TestCacheReadMode: a read-mode pass over a directory that holds a
+// valid, a stale-salt, a truncated and a zero-byte entry plus an abandoned
+// temp file serves the valid entry, recomputes the rest in memory, and
+// leaves every file byte-identical: no eviction, no sweep, no write.
 func TestCacheReadMode(t *testing.T) {
 	dir := t.TempDir()
-	r := fastRunner()
-	r.Cache = openCache(t, dir, CacheRead)
-	if _, err := r.RunSingle(ddr3Def(), "mcf"); err != nil {
-		t.Fatal(err)
+	apps := []string{"mcf", "gcc", "lbm"}
+	r1 := fastRunner()
+	c1 := openCache(t, dir, CacheReadWrite)
+	r1.Cache = c1
+	keys := map[string]string{}
+	for _, app := range apps {
+		before := snapshotDir(t, dir)
+		if _, err := r1.RunSingle(ddr3Def(), app); err != nil {
+			t.Fatal(err)
+		}
+		for name := range snapshotDir(t, dir) {
+			if _, ok := before[name]; !ok {
+				keys[app+"/"+strings.SplitN(name, "-", 2)[0]] = filepath.Join(dir, name)
+			}
+		}
 	}
-	if st := r.Cache.Stats(); st.Writes != 0 {
-		t.Errorf("read-only cache wrote %d entries", st.Writes)
-	}
-	entries, err := os.ReadDir(dir)
+	// mcf stays valid. gcc's result carries an older salt and its profile
+	// is zero bytes; lbm's result is cut in half.
+	stale, err := os.ReadFile(keys["gcc/result"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Errorf("read-only cache left %d files in %s", len(entries), dir)
+	_, rest, _ := bytes.Cut(stale, newline)
+	if err := os.WriteFile(keys["gcc/result"], append([]byte("moca-cache-v2/sim-v0\n"), rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keys["gcc/profile"], nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := os.ReadFile(keys["lbm/result"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keys["lbm/result"], torn[:len(torn)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, ".result-dead123.tmp")
+	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * sweepTempGrace)
+	if err := os.Chtimes(tmp, old, old); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotDir(t, dir)
+
+	r2 := fastRunner()
+	c2 := openCache(t, dir, CacheRead)
+	r2.Cache = c2
+	for _, app := range apps {
+		if _, err := r2.RunSingle(ddr3Def(), app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := snapshotDir(t, dir)
+	if len(after) != len(snap) {
+		t.Errorf("read-mode pass changed the file count: %d -> %d", len(snap), len(after))
+	}
+	for name, data := range snap {
+		if got, ok := after[name]; !ok {
+			t.Errorf("read-mode pass removed %s", name)
+		} else if got != data {
+			t.Errorf("read-mode pass rewrote %s", name)
+		}
+	}
+	if st := r2.Stats(); st.DiskHits != 1 || st.ProfileDiskHits != 2 || st.Simulated != 2 || st.Profiled != 1 {
+		t.Errorf("DiskHits=%d ProfileDiskHits=%d Simulated=%d Profiled=%d, want 1/2/2/1",
+			st.DiskHits, st.ProfileDiskHits, st.Simulated, st.Profiled)
+	}
+	if st := c2.Stats(); st.Hits != 3 || st.Misses != 3 || st.Writes != 0 || st.Evictions != 0 {
+		t.Errorf("Hits=%d Misses=%d Writes=%d Evictions=%d, want 3/3/0/0", st.Hits, st.Misses, st.Writes, st.Evictions)
 	}
 }
 
@@ -235,7 +297,7 @@ func TestCacheOpenSweepsCrashDebris(t *testing.T) {
 }
 
 // TestCacheZeroByteEntryEvictedOnLoad: even without a reopen, a zero-byte
-// envelope is treated as corrupt on access — evicted and reported as a
+// entry is treated as corrupt on access — evicted and reported as a
 // miss — so one crash artifact cannot poison the slot forever.
 func TestCacheZeroByteEntryEvictedOnLoad(t *testing.T) {
 	dir := t.TempDir()

@@ -17,9 +17,9 @@ import (
 // Cache keys content-address work by everything that determines its
 // outcome, serialized as canonical JSON (encoding/json sorts map keys, so
 // identical inputs always produce identical bytes). The simulator version
-// salt is deliberately NOT part of the key: it lives in the on-disk
-// envelope instead, so a salt bump lands on the same file and evicts the
-// stale entry rather than stranding it forever (see RunCache).
+// salt is deliberately NOT part of the key: it is the first line of each
+// on-disk entry instead, so a salt bump lands on the same file and evicts
+// the stale entry rather than stranding it forever (see RunCache).
 
 // resultKey is the canonical identity of one measured simulation: the
 // fully resolved system configuration (minus presentation-only fields),
