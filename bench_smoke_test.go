@@ -47,3 +47,29 @@ func TestThroughputAllocBudget(t *testing.T) {
 			allocs, budget, last.AllocsPerOp, last.Commit)
 	}
 }
+
+// TestRepoLedgerLoads guards the checked-in ledger itself: it must parse
+// and keep a monotone history of real measurements.
+func TestRepoLedgerLoads(t *testing.T) {
+	data, err := os.ReadFile("BENCH_throughput.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hist benchTrajectory
+	if err := json.Unmarshal(data, &hist); err != nil {
+		t.Fatalf("BENCH_throughput.json: %v", err)
+	}
+	if len(hist.Trajectory) < 3 {
+		t.Fatalf("ledger has %d entries, want ≥ 3", len(hist.Trajectory))
+	}
+	for i, e := range hist.Trajectory {
+		if e.NsPerOp <= 0 {
+			t.Errorf("trajectory[%d] (%s) has ns_per_op %d", i, e.Commit, e.NsPerOp)
+		}
+	}
+	last, prev := hist.Trajectory[len(hist.Trajectory)-1], hist.Trajectory[len(hist.Trajectory)-2]
+	if last.NsPerOp >= prev.NsPerOp {
+		t.Errorf("newest entry %s (%d ns/op) does not improve on %s (%d ns/op)",
+			last.Commit, last.NsPerOp, prev.Commit, prev.NsPerOp)
+	}
+}

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"moca/internal/benchcmp"
 	"moca/internal/cmdutil"
 	"moca/internal/exp"
 	"moca/internal/obs"
@@ -47,24 +46,12 @@ func run() (code int) {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	cacheDir := flag.String("cache-dir", os.Getenv("MOCA_CACHE_DIR"), "persistent run-cache directory (default $MOCA_CACHE_DIR; empty = disabled)")
 	cacheMode := flag.String("cache", envOr("MOCA_CACHE", "write"), "persistent cache mode: off, read, or write (default $MOCA_CACHE or write)")
-	benchCompare := flag.Bool("benchcompare", false, "diff BENCH_throughput.json trajectory entries instead of running experiments: one ledger file compares its last two entries, two files compare last vs last")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: moca-bench [flags] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "       moca-bench -benchcompare old.json [new.json]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s, all\n", strings.Join(names(), " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *benchCompare {
-		report, err := benchcmp.Compare(flag.Args())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "moca-bench: benchcompare: %v\n", err)
-			return 2
-		}
-		fmt.Print(report)
-		return 0
-	}
 
 	ctx, stop := cmdutil.NotifyContext(context.Background(), "moca-bench")
 	defer stop()

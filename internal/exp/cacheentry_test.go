@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -234,7 +235,9 @@ func TestCacheV1EntriesRecomputed(t *testing.T) {
 }
 
 // FuzzRunCacheEntry: whatever bytes sit in a result slot, loading never
-// panics, and a hit implies the file begins with exactly salt\nkey\n.
+// panics, a hit implies the file begins with exactly salt\nkey\n, and a
+// correctly framed payload hits exactly when encoding/json decodes it, to
+// the same Result.
 // The seeds are whole ~5 KiB entries, so minimizing every new input
 // stalls the fuzzer; run it with -fuzzminimizetime=0.
 func FuzzRunCacheEntry(f *testing.F) {
@@ -248,6 +251,12 @@ func FuzzRunCacheEntry(f *testing.F) {
 	// Another key's valid entry in this slot, as a hash collision would be.
 	f.Add(bytes.Replace(valid, []byte(`"kind":"result"`), []byte(`"kind":"resulT"`), 1))
 	head := []byte(salt + "\n" + key + "\n")
+	f.Add(append(append([]byte(nil), head...), "null"...))
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, valid[len(head):], "", " "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append([]byte(nil), head...), spaced.Bytes()...))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := openCache(t, dir, CacheReadWrite)
@@ -256,6 +265,18 @@ func FuzzRunCacheEntry(f *testing.F) {
 		}
 		res, ok := c.LoadResult(key)
 		st := c.Stats()
+		if payload, framed := bytes.CutPrefix(data, head); framed {
+			// A leading space sends the reference decode down the
+			// encoding/json path, whatever the canonical decoder would do.
+			var want sim.Result
+			refErr := want.UnmarshalJSON(append([]byte(" "), payload...))
+			if ok != (refErr == nil) {
+				t.Fatalf("hit=%v but encoding/json decode error %v: %.80q", ok, refErr, payload)
+			}
+			if ok && !reflect.DeepEqual(*res, want) {
+				t.Fatalf("loaded result differs from encoding/json's decode of %.80q", payload)
+			}
+		}
 		if ok {
 			if res == nil || !bytes.HasPrefix(data, head) {
 				t.Fatalf("hit on an entry without the salt\\nkey\\n frame: %.80q", data)
@@ -315,5 +336,44 @@ func BenchmarkRunCacheWarmHeadline(b *testing.B) {
 		if st := r.Stats(); st.Simulated != 0 || st.Profiled != 0 {
 			b.Fatalf("warm pass simulated %d runs and profiled %d apps", st.Simulated, st.Profiled)
 		}
+	}
+}
+
+// TestCacheNullPayloadMisses: an entry whose payload is null — valid
+// JSON, but no result or profile — is a miss, never a zero-valued hit.
+// Read mode leaves it on disk; read-write mode evicts it.
+func TestCacheNullPayloadMisses(t *testing.T) {
+	dir := t.TempDir()
+	rw, resKey, profKey, _, _ := storedEntries(t, dir)
+	ro := openCache(t, dir, CacheRead)
+	for _, tc := range []struct {
+		kind, key string
+		load      func(c *RunCache, key string) bool
+	}{
+		{"result", resKey, func(c *RunCache, key string) bool { _, ok := c.LoadResult(key); return ok }},
+		{"profile", profKey, func(c *RunCache, key string) bool { _, ok := c.LoadProfile(key); return ok }},
+	} {
+		path := rw.path(tc.kind, tc.key)
+		if err := os.WriteFile(path, []byte(rw.salt+"\n"+tc.key+"\nnull"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tc.load(ro, tc.key) {
+			t.Errorf("null %s payload hit in read mode", tc.kind)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("read mode removed the null %s entry: %v", tc.kind, err)
+		}
+		if tc.load(rw, tc.key) {
+			t.Errorf("null %s payload hit in read-write mode", tc.kind)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("null %s entry not evicted (err=%v)", tc.kind, err)
+		}
+	}
+	if st := ro.Stats(); st.Hits != 0 || st.Misses != 2 || st.Evictions != 0 {
+		t.Errorf("read mode: Hits=%d Misses=%d Evictions=%d, want 0/2/0", st.Hits, st.Misses, st.Evictions)
+	}
+	if st := rw.Stats(); st.Hits != 0 || st.Misses != 2 || st.Evictions != 2 {
+		t.Errorf("read-write mode: Hits=%d Misses=%d Evictions=%d, want 0/2/2", st.Hits, st.Misses, st.Evictions)
 	}
 }

@@ -7,7 +7,9 @@
 package profile
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -218,8 +220,13 @@ func (pr Profile) Marshal() ([]byte, error) {
 	return json.MarshalIndent(pr, "", "  ")
 }
 
-// Unmarshal parses a serialized profile.
+// Unmarshal parses a serialized profile. Anything but a JSON object is
+// an error: json.Unmarshal alone would read null as a profile with no
+// objects, under which every MOCA run would go unclassified.
 func Unmarshal(data []byte) (Profile, error) {
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '{' {
+		return Profile{}, errors.New("profile: not a JSON object")
+	}
 	var pr Profile
 	if err := json.Unmarshal(data, &pr); err != nil {
 		return Profile{}, fmt.Errorf("profile: %w", err)

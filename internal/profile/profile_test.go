@@ -177,6 +177,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsNonObject: a null (or any non-object) profile is an
+// error, not a profile with no objects.
+func TestUnmarshalRejectsNonObject(t *testing.T) {
+	for _, doc := range []string{"null", " null", "[]", `"p"`, "0", ""} {
+		if _, err := Unmarshal([]byte(doc)); err == nil {
+			t.Errorf("Unmarshal(%q) accepted a non-object", doc)
+		}
+	}
+}
+
 func TestMergeWeighted(t *testing.T) {
 	a, objs := buildNames(t)
 	th := classify.DefaultThresholds()

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -19,9 +21,9 @@ import (
 // credited polling ticks; every other field equals v3.
 const BehaviorVersion = 4
 
-// resultWire adds the unexported energy accumulators to the wire format so
-// a Result survives a disk round-trip with MemEnergyJ/SystemEDP intact.
-// All other fields are plain exported data.
+// resultWire is the wire format: Result's exported fields, then the
+// unexported energy accumulators, so a Result survives a disk round-trip
+// with MemEnergyJ/SystemEDP intact.
 type resultWire struct {
 	*resultAlias
 	MemEnergyJ  float64 `json:"mem_energy_j"`
@@ -31,7 +33,9 @@ type resultWire struct {
 // resultAlias strips Result's methods so Marshal/Unmarshal don't recurse.
 type resultAlias Result
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. Its output is encoding/json's
+// compact form of resultWire: no whitespace, fields in struct order,
+// map keys sorted.
 func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(&resultWire{
 		resultAlias: (*resultAlias)(r),
@@ -40,13 +44,38 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It replaces *r with the
+// result data encodes, and rejects any document that is not a JSON
+// object, null included, so an empty payload never reads as a zero
+// result. MarshalJSON's own output for a result without an obs snapshot
+// or profiles goes through decodeCanonical; anything else is decoded by
+// encoding/json.
 func (r *Result) UnmarshalJSON(data []byte) error {
-	aux := resultWire{resultAlias: (*resultAlias)(r)}
-	if err := json.Unmarshal(data, &aux); err != nil {
+	if res, ok := decodeCanonical(data); ok {
+		*r = res
+		return nil
+	}
+	res, err := decodeReflect(data)
+	if err != nil {
 		return fmt.Errorf("sim: decoding result: %w", err)
 	}
-	r.memEnergyJ = aux.MemEnergyJ
-	r.coreEnergyJ = aux.CoreEnergyJ
+	*r = res
 	return nil
+}
+
+// decodeReflect is the encoding/json decoder: any JSON object
+// json.Unmarshal accepts, into a fresh Result. Other documents are
+// errors; json.Unmarshal alone would read null as a zero Result.
+func decodeReflect(data []byte) (Result, error) {
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '{' {
+		return Result{}, errors.New("not a JSON object")
+	}
+	var res Result
+	aux := resultWire{resultAlias: (*resultAlias)(&res)}
+	if err := json.Unmarshal(data, &aux); err != nil {
+		return Result{}, err
+	}
+	res.memEnergyJ = aux.MemEnergyJ
+	res.coreEnergyJ = aux.CoreEnergyJ
+	return res, nil
 }

@@ -81,7 +81,7 @@ type goldenCase struct {
 // short multi-program runs covering every placement policy, several core
 // counts, a shrunk L2 and a migration engine with a short epoch. The two
 // long runs warm up for their apps' initialization plus 100k instructions.
-func goldenCases(t *testing.T) []goldenCase {
+func goldenCases(t testing.TB) []goldenCase {
 	disparity := workload.Disparity()
 	cm := classMapFor(t, disparity, map[string]classify.Class{
 		"images":        classify.BandwidthSensitive,

@@ -275,7 +275,7 @@ func TestOOMSurfacesAsError(t *testing.T) {
 
 // classMapFor builds a ClassMap by instantiating the spec on a scratch
 // allocator and reading object keys back by label.
-func classMapFor(t *testing.T, spec workload.AppSpec, classes map[string]classify.Class) heap.ClassMap {
+func classMapFor(t testing.TB, spec workload.AppSpec, classes map[string]classify.Class) heap.ClassMap {
 	t.Helper()
 	scratch := heap.New(heap.Config{})
 	app, err := workload.Instantiate(spec, scratch, 0)

@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"moca/internal/mem"
+	"moca/internal/sim"
 )
 
 // frame encodes one frame (panics on encoding faults: test-fixture only).
@@ -222,9 +226,20 @@ func TestSplitResultRejects(t *testing.T) {
 // document differently from a JSON decoder. SplitResult checks only the
 // envelope and leaves the document to the caller's decoder (the client
 // decodes it into a sim.Result), so agreement is required for every
-// accepted payload whose document is valid JSON. Any valid input also
-// serves as a document for the writer, which must match json.Marshal.
+// accepted payload whose document is valid JSON. The document decodes
+// into a sim.Result exactly when encoding/json decodes it, to the same
+// value, so the canonical decoder agrees with the reference on every
+// RESULT. Any valid input also serves as a document for the writer, which
+// must match json.Marshal.
 func FuzzSplitResult(f *testing.F) {
+	res := &sim.Result{Name: "MOCA", Policy: "moca", Elapsed: 177720000,
+		Cores:       []sim.CoreResult{{App: "mcf", TLBHitRate: 0.3172, PagesByModule: map[int]int{0: 1830, 2: 7}}},
+		Channels:    []sim.ChannelResult{{Name: "HBM-m1-ch0", Kind: 1, CapacityBytes: 8 << 20}},
+		ModuleKinds: []mem.Kind{0, 1}}
+	doc, err := res.MarshalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte(`{"id":1,"result":{"elapsed_ps":1}}`), uint32(1))
 	f.Add([]byte(`{"id":0,"result":null}`), uint32(0))
 	f.Add([]byte(`{"id":4294967295,"result":[1,"<a>"]}`), ^uint32(0))
@@ -233,6 +248,7 @@ func FuzzSplitResult(f *testing.F) {
 	f.Add([]byte(`{"id":01,"result":{}}`), uint32(4))
 	f.Add([]byte(`{ "a" : "\u2028 & <" }`), uint32(5))
 	f.Add([]byte{}, uint32(6))
+	f.Add(AppendResult(nil, 9, doc), uint32(9))
 
 	f.Fuzz(func(t *testing.T, payload []byte, id uint32) {
 		if gotID, doc, err := SplitResult(payload); err != nil {
@@ -246,6 +262,17 @@ func FuzzSplitResult(f *testing.F) {
 			}
 			if rm.ID != gotID || !bytes.Equal(rm.Result, doc) {
 				t.Fatalf("SplitResult(%q) = (%d, %q), Decode = (%d, %q)", payload, gotID, doc, rm.ID, rm.Result)
+			}
+			// A leading space sends the reference decode down the
+			// encoding/json path, whatever the canonical decoder would do.
+			var got, want sim.Result
+			gotErr := got.UnmarshalJSON(doc)
+			wantErr := want.UnmarshalJSON(append([]byte(" "), doc...))
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("result document %q: decode error %v, encoding/json %v", doc, gotErr, wantErr)
+			}
+			if gotErr == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("result document %q decodes differently from encoding/json", doc)
 			}
 		}
 
