@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	moca-trace record -app NAME [-items N] [-input ref|train] [-format v1|v2] -o FILE
+//	moca-trace record -app NAME [-items N] [-input ref|train] [-block-items N] [-block-bytes N] -o FILE
 //	moca-trace info FILE
 //	moca-trace inspect FILE
-//	moca-trace convert -to v1|v2 [-block-items N] [-block-bytes N] -o OUT IN
+//	moca-trace convert [-block-items N] [-block-bytes N] -o OUT IN
 //	moca-trace seek -seq N [-n K] FILE
 //	moca-trace replay -app NAME [-system NAME] [-measure N] [-skip N] [-json] FILE
 //	moca-trace replay -app NAME -remote ADDR -session TOKEN [-system NAME] [-measure N] FILE
@@ -19,9 +19,11 @@
 // recording, so replay needs the same -app (and input) it was recorded
 // with.
 //
-// v2 is the block format: framed, per-block compressed, seekable.
-// inspect, seek, and -remote need a v2 file (use convert); every other
-// verb accepts either version.
+// record writes the v2 block format: framed, checksummed, seekable.
+// Older v1 files (one delta/varint stream) still replay; convert turns
+// them into v2, or re-frames a v2 file with other block thresholds.
+// inspect, seek, and -remote need a v2 file; every other verb accepts
+// either version.
 package main
 
 import (
@@ -62,10 +64,10 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  moca-trace record -app NAME [-items N] [-input ref|train] [-format v1|v2] -o FILE
+  moca-trace record -app NAME [-items N] [-input ref|train] [-block-items N] [-block-bytes N] -o FILE
   moca-trace info FILE
   moca-trace inspect FILE
-  moca-trace convert -to v1|v2 [-block-items N] [-block-bytes N] -o OUT IN
+  moca-trace convert [-block-items N] [-block-bytes N] -o OUT IN
   moca-trace seek -seq N [-n K] FILE
   moca-trace replay -app NAME [-system ddr3|rl|hbm|lp] [-measure N] [-skip N] [-json] [-loop] FILE
   moca-trace replay -app NAME -remote ADDR -session TOKEN [-system NAME] [-measure N] FILE`)
@@ -77,9 +79,8 @@ func record(args []string) {
 	appName := fs.String("app", "", "application to record")
 	items := fs.Uint64("items", 500_000, "stream items to record (compute batches count once)")
 	input := fs.String("input", "ref", "input set (ref|train)")
-	format := fs.String("format", "v2", "trace format (v1|v2)")
-	blockItems := fs.Int("block-items", 0, "v2: items per block (0 = default)")
-	blockBytes := fs.Int("block-bytes", 0, "v2: raw bytes per block (0 = default)")
+	blockItems := fs.Int("block-items", 0, "items per block (0 = default)")
+	blockBytes := fs.Int("block-bytes", 0, "raw bytes per block (0 = default)")
 	out := fs.String("o", "", "output trace file")
 	fs.Parse(args)
 	if *appName == "" || *out == "" {
@@ -98,21 +99,13 @@ func record(args []string) {
 		fatal("%v", err)
 	}
 	defer f.Close()
-	var n uint64
-	switch *format {
-	case "v1":
-		n, err = moca.RecordTrace(f, app, in, nil, *items)
-	case "v2":
-		n, err = moca.RecordTraceV2(f, app, in, nil, *items, *blockItems, *blockBytes)
-	default:
-		fatal("unknown format %q (v1|v2)", *format)
-	}
+	n, err := moca.RecordTraceV2(f, app, in, nil, *items, *blockItems, *blockBytes)
 	if err != nil {
 		fatal("recording: %v", err)
 	}
 	st, _ := f.Stat()
-	fmt.Printf("recorded %d stream items of %s (%s input, %s) to %s (%.1f MB, %.2f B/item)\n",
-		n, *appName, in, *format, *out, float64(st.Size())/(1<<20), float64(st.Size())/float64(n))
+	fmt.Printf("recorded %d stream items of %s (%s input) to %s (%.1f MB, %.2f B/item)\n",
+		n, *appName, in, *out, float64(st.Size())/(1<<20), float64(st.Size())/float64(n))
 }
 
 func info(args []string) {
@@ -165,7 +158,7 @@ func info(args []string) {
 }
 
 // inspect prints the v2 block table: one line per frame, without
-// decompressing or decoding any payload.
+// decoding any payload.
 func inspect(args []string) {
 	if len(args) != 1 {
 		usage()
@@ -179,21 +172,13 @@ func inspect(args []string) {
 	if err != nil {
 		fatal("%v (inspect needs a v2 trace; see convert)", err)
 	}
-	fmt.Printf("%10s %12s %8s %10s %10s %7s %6s\n",
-		"offset", "seq", "items", "raw", "stored", "ratio", "method")
-	var blocks, rawTotal, storedTotal uint64
+	fmt.Printf("%10s %12s %8s %10s\n", "offset", "seq", "items", "bytes")
+	var blocks, payload uint64
 	for sc.Scan() {
 		bi := sc.Info()
-		method := "raw"
-		if bi.Method != 0 {
-			method = "lz"
-		}
-		fmt.Printf("%10d %12d %8d %10d %10d %6.2fx %6s\n",
-			bi.Pos.ByteOff, bi.Pos.Seq, bi.Count, bi.RawLen, bi.CompLen,
-			float64(bi.RawLen)/float64(bi.CompLen), method)
+		fmt.Printf("%10d %12d %8d %10d\n", bi.Pos.ByteOff, bi.Pos.Seq, bi.Count, bi.RawLen)
 		blocks++
-		rawTotal += uint64(bi.RawLen)
-		storedTotal += uint64(bi.CompLen)
+		payload += bi.RawLen
 	}
 	if err := sc.Err(); err != nil {
 		fatal("scan: %v", err)
@@ -203,17 +188,15 @@ func inspect(args []string) {
 	if ended {
 		end = fmt.Sprintf("%d items", total)
 	}
-	fmt.Printf("%d blocks, %s; %d raw bytes stored as %d (%.2fx)\n",
-		blocks, end, rawTotal, storedTotal, float64(rawTotal)/float64(storedTotal))
+	fmt.Printf("%d blocks, %s; %d payload bytes\n", blocks, end, payload)
 }
 
-// convert re-encodes a trace in either direction (v1<->v2), or re-frames
-// a v2 trace with different block thresholds.
+// convert writes a v2 trace: a v1 trace converted, or a v2 trace
+// re-framed with different block thresholds.
 func convert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "", "target format (v1|v2)")
-	blockItems := fs.Int("block-items", 0, "v2: items per block (0 = default)")
-	blockBytes := fs.Int("block-bytes", 0, "v2: raw bytes per block (0 = default)")
+	blockItems := fs.Int("block-items", 0, "items per block (0 = default)")
+	blockBytes := fs.Int("block-bytes", 0, "raw bytes per block (0 = default)")
 	out := fs.String("o", "", "output trace file")
 	fs.Parse(args)
 	if *out == "" || fs.NArg() != 1 {
@@ -233,19 +216,7 @@ func convert(args []string) {
 		fatal("%v", err)
 	}
 	defer dst.Close()
-
-	var w interface {
-		trace.Appender
-		Close() error
-	}
-	switch *to {
-	case "v1":
-		w, err = trace.NewWriter(dst)
-	case "v2":
-		w, err = trace.NewBlockWriterSize(dst, *blockItems, *blockBytes)
-	default:
-		fatal("unknown target format %q (v1|v2)", *to)
-	}
+	w, err := trace.NewBlockWriterSize(dst, *blockItems, *blockBytes)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -258,8 +229,7 @@ func convert(args []string) {
 	}
 	ist, _ := in.Stat()
 	ost, _ := dst.Stat()
-	fmt.Printf("converted %d items to %s: %d -> %d bytes (%.2fx)\n",
-		n, *to, ist.Size(), ost.Size(), float64(ist.Size())/float64(ost.Size()))
+	fmt.Printf("converted %d items: %d -> %d bytes\n", n, ist.Size(), ost.Size())
 }
 
 // seek positions a v2 reader at an arbitrary stream item and prints the

@@ -21,7 +21,7 @@ func main() {
 
 	// 1. Record: freeze 400k stream items of mcf's reference input.
 	var buf bytes.Buffer
-	n, err := moca.RecordTrace(&buf, app, moca.Ref, nil, 400_000)
+	n, err := moca.RecordTraceV2(&buf, app, moca.Ref, nil, 400_000, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 
 	// 2. Replay the identical instruction stream on two systems.
 	for _, kind := range []moca.MemoryKind{moca.DDR3, moca.RLDRAM} {
-		tr, err := moca.OpenTrace(bytes.NewReader(buf.Bytes()))
+		tr, err := moca.OpenTraceStream(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 
 	// 3. Determinism: replaying twice gives identical results.
 	runOnce := func() int64 {
-		tr, _ := moca.OpenTrace(bytes.NewReader(buf.Bytes()))
+		tr, _ := moca.OpenTraceStream(bytes.NewReader(buf.Bytes()))
 		cfg := moca.DefaultSystem("replay", moca.Homogeneous(moca.DDR3), moca.PolicyFixed)
 		sys, _ := moca.NewSystem(cfg, []moca.ProcSpec{{App: app, Input: moca.Ref, Stream: tr}})
 		res, err := sys.Run(sys.SuggestedWarmup(), 200_000)

@@ -55,7 +55,7 @@ func TestCanceledFlightAbortsProfilingWait(t *testing.T) {
 	r := fastRunner()
 	stuckProfile(r, "mcf")
 	def := ddr3Def()
-	memoKey := def.Name + "|single/mcf"
+	memoKey := MemoKey(def, "single/mcf")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -96,7 +96,7 @@ func TestRejoinAfterLastWaiterCancel(t *testing.T) {
 	}
 	started, release := gatedNewSystem(t)
 	def := ddr3Def()
-	memoKey := def.Name + "|single/mcf"
+	memoKey := MemoKey(def, "single/mcf")
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -131,10 +133,10 @@ type Runner struct {
 	Ctx context.Context
 	// OnProgress, if non-nil, receives periodic completion ticks for every
 	// simulation this runner actually executes, keyed by the run's memo key
-	// ("System|single/app" or "System|mix/name"). snap lazily captures the
-	// live metrics snapshot at the tick's window barrier and must only be
-	// called from inside the callback. Invoked on the flight goroutine, so
-	// it must be fast and concurrency-safe; cache hits produce no ticks.
+	// (MemoKey). snap lazily captures the live metrics snapshot at the
+	// tick's window barrier and must only be called from inside the
+	// callback. Invoked on the flight goroutine, so it must be fast and
+	// concurrency-safe; cache hits produce no ticks.
 	// Pure observability: it never affects results or cache keys.
 	OnProgress func(memoKey string, done, total uint64, snap func() *obs.Snapshot)
 
@@ -288,7 +290,10 @@ func (r *Runner) RunMixCtx(ctx context.Context, def SystemDef, mix workload.Mix)
 // ctx.Err() and detaches without disturbing the flight, and only the last
 // departing waiter cancels the shared simulation.
 func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []string) (*sim.Result, error) {
-	memoKey := def.Name + "|" + key
+	// The key is assembled on the stack; the map lookups below convert it
+	// without allocating, so only a new flight pays for the string.
+	var buf [192]byte
+	kb := appendMemoKey(buf[:0], def, key)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -298,12 +303,12 @@ func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []stri
 			r.results = make(map[string]*sim.Result)
 			r.flights = make(map[string]*flight)
 		}
-		if res, ok := r.results[memoKey]; ok {
+		if res, ok := r.results[string(kb)]; ok {
 			r.mu.Unlock()
 			r.memoryHits.Add(1)
 			return res, nil
 		}
-		if f, ok := r.flights[memoKey]; ok {
+		if f, ok := r.flights[string(kb)]; ok {
 			if f.waiters == 0 {
 				// The last waiter already detached and canceled this
 				// flight; it is draining toward a context.Canceled error
@@ -328,6 +333,7 @@ func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []stri
 		// The flight's lifetime is bound to the runner, not any one caller.
 		fctx, cancel := context.WithCancel(r.context())
 		f.cancel = cancel
+		memoKey := string(kb)
 		r.flights[memoKey] = f
 		r.mu.Unlock()
 
@@ -439,8 +445,55 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 	return res, nil
 }
 
-// Results returns a copy of the result cache, keyed "system|single/app"
-// or "system|mix/name" (the metrics reporters aggregate these per system).
+// MemoKey names one run of def in a Runner's memo, its Results and its
+// OnProgress ticks: "name|run|system", where run is "single/app" or
+// "mix/name" and system spells out the policy, the modules and any
+// placement chains. The name alone is not enough: SystemByName calls
+// moca, moca@config2 and moca@config3 all "moca", and a memo keyed by it
+// served one capacity config's result for another. The key is built from
+// def's fields with strconv, never by encoding a sim.Config.
+func MemoKey(def SystemDef, run string) string {
+	var buf [192]byte
+	return string(appendMemoKey(buf[:0], def, run))
+}
+
+// appendMemoKey appends MemoKey(def, run) to b.
+func appendMemoKey(b []byte, def SystemDef, run string) []byte {
+	b = append(b, def.Name...)
+	b = append(b, '|')
+	b = append(b, run...)
+	b = append(b, "|policy="...)
+	b = strconv.AppendInt(b, int64(def.Policy), 10)
+	for _, m := range def.Modules {
+		b = append(b, " kind="...)
+		b = strconv.AppendInt(b, int64(m.Kind), 10)
+		b = append(b, ",bytes="...)
+		b = strconv.AppendUint(b, m.CapacityBytes, 10)
+		b = append(b, ",channels="...)
+		b = strconv.AppendInt(b, int64(m.Channels), 10)
+	}
+	classes := make([]classify.Class, 0, len(def.Chains))
+	for c := range def.Chains {
+		classes = append(classes, c)
+	}
+	slices.Sort(classes)
+	for _, c := range classes {
+		b = append(b, " chain"...)
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, '=')
+		for i, k := range def.Chains[c] {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(k), 10)
+		}
+	}
+	return b
+}
+
+// Results returns a copy of the result cache, keyed by MemoKey (the
+// metrics reporters aggregate these per system name, the key's first
+// field).
 func (r *Runner) Results() map[string]*sim.Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -59,7 +59,7 @@ func TestWaiterDetachKeepsFlightAlive(t *testing.T) {
 	}
 	started, release := gatedNewSystem(t)
 	def := ddr3Def()
-	memoKey := def.Name + "|single/mcf"
+	memoKey := MemoKey(def, "single/mcf")
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
@@ -115,7 +115,7 @@ func TestLastWaiterCancelsFlight(t *testing.T) {
 	}
 	started, release := gatedNewSystem(t)
 	def := ddr3Def()
-	memoKey := def.Name + "|single/mcf"
+	memoKey := MemoKey(def, "single/mcf")
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)

@@ -85,7 +85,7 @@ func TestReplayDecodeErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := trace.NewBlockWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,9 @@ func TestReplayDecodeErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[len(data)-1] = 200 // unknown opcode in place of the end marker
+	data[len(data)-1] ^= 0x01 // the end frame's item total no longer matches
 
-	rd, err := trace.NewReader(bytes.NewReader(data))
+	rd, err := trace.Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestReplayShortTraceSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := trace.NewBlockWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReplayShortTraceSurfaces(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	rd, err := trace.Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,7 +326,7 @@ func TestDeterminismWithReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+	w, err := trace.NewBlockWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDeterminismWithReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	rd, err := trace.Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

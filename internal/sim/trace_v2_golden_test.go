@@ -10,13 +10,13 @@ import (
 	"moca/internal/workload"
 )
 
-// TestTraceV2ReplayByteIdentical is the format-parity acceptance test:
-// the same recorded stream replayed through the v1 reader, through the
-// v2 block reader, and through a v2 reader resumed at a mid-trace block
-// boundary (against a v1 reader drained to the same item) must produce
-// byte-identical Result JSON. The v2 path exercises block framing,
-// per-block compression, the batch-refill hot path, and positioned
-// reopen — none of which may perturb simulation output.
+// TestTraceV2ReplayByteIdentical is the replay-parity acceptance test: a
+// v2 recording of an app's generator stream must replay to the Result
+// JSON of the native generator run, and a v2 reader resumed at a
+// mid-trace block boundary must match a whole-trace reader drained to the
+// same item, byte for byte. The v2 path exercises block framing, the
+// batch-refill hot path, and positioned reopen — none of which may
+// perturb simulation output.
 func TestTraceV2ReplayByteIdentical(t *testing.T) {
 	spec := workload.Tracking()
 	baseProc := ProcSpec{App: spec, Input: workload.Ref}
@@ -25,9 +25,12 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 		cfg.Obs.Metrics = true
 		return cfg
 	}
+	// run replays stream, or runs the app's own generator when it is nil.
 	run := func(stream trace.ReplayStream, warmup uint64) []byte {
 		proc := baseProc
-		proc.Stream = stream
+		if stream != nil {
+			proc.Stream = stream
+		}
 		sys, err := New(newCfg(), []ProcSpec{proc})
 		if err != nil {
 			t.Fatal(err)
@@ -36,8 +39,10 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stream.Err(); err != nil {
-			t.Fatalf("stream error after replay: %v", err)
+		if stream != nil {
+			if err := stream.Err(); err != nil {
+				t.Fatalf("stream error after replay: %v", err)
+			}
 		}
 		raw, err := res.MarshalJSON()
 		if err != nil {
@@ -52,61 +57,40 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 	}
 	warm := probe.SuggestedWarmup()
 
-	// Record once in v1, then convert to v2 with small blocks so the
-	// corpus spans many frames; the conversion itself is part of what is
-	// under test. Slack covers in-flight fetches past the final quota
-	// crossing.
+	// Record with small blocks so the corpus spans many frames. Slack
+	// covers in-flight fetches past the final quota crossing.
 	scratch := heap.New(heap.Config{NamingDepth: baseProc.NamingDepth, Classes: baseProc.Classes})
 	app, err := workload.Instantiate(spec.ForInput(workload.Ref), scratch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := warm + goldenMeasure + 50_000
-	var v1 bytes.Buffer
-	w1, err := trace.NewWriter(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.Record(w1, app.Stream(), total); err != nil {
-		t.Fatal(err)
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
 	var v2 bytes.Buffer
-	src, err := trace.Open(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	w2, err := trace.NewBlockWriterSize(&v2, 2048, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := trace.Copy(w2, src); err != nil || n != total {
-		t.Fatalf("convert: %d items, %v; want %d", n, err, total)
+	if n, err := trace.Record(w2, app.Stream(), total); err != nil || n != total {
+		t.Fatalf("record: %d items, %v; want %d", n, err, total)
 	}
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Whole-trace parity.
-	r1, err := trace.NewReader(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run(r1, warm)
+	// Whole-trace parity with the generator the trace was recorded from.
+	want := run(nil, warm)
 	r2, err := trace.Open(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := run(r2, warm); !bytes.Equal(got, want) {
-		t.Errorf("v2 replay result JSON diverges from v1:\nv2 %s\nv1 %s", got, want)
+		t.Errorf("v2 replay result JSON diverges from the native run:\nv2     %s\nnative %s", got, want)
 	}
 
 	// Resume parity: reopen the v2 trace at the first block boundary past
-	// item 10000 — without decoding the prefix — and compare against a v1
-	// reader drained to the same item. Both see the identical suffix, so
-	// both simulations must serialize identically.
+	// item 10000 — without decoding the prefix — and compare against a
+	// whole-trace reader drained item by item to the same point. Both see
+	// the identical suffix, so both simulations must serialize identically.
 	sc, err := trace.NewBlockScanner(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -125,13 +109,13 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 		t.Fatal("no block boundary past item 10000")
 	}
 
-	rd, err := trace.NewReader(bytes.NewReader(v1.Bytes()))
+	rd, err := trace.Open(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < pos.Seq; i++ {
 		if _, ok := rd.Next(); !ok {
-			t.Fatalf("v1 trace ends at item %d draining to %d", i, pos.Seq)
+			t.Fatalf("trace ends at item %d draining to %d", i, pos.Seq)
 		}
 	}
 	wantResumed := run(rd, warm)
@@ -140,6 +124,6 @@ func TestTraceV2ReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := run(br, warm); !bytes.Equal(got, wantResumed) {
-		t.Errorf("resumed v2 replay (from %+v) diverges from drained v1 replay:\nv2 %s\nv1 %s", pos, got, wantResumed)
+		t.Errorf("resumed replay (from %+v) diverges from drained replay:\nresumed %s\ndrained %s", pos, got, wantResumed)
 	}
 }

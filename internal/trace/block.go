@@ -19,14 +19,19 @@ import (
 //	byte    0xB2       block marker
 //	uvarint seq        stream index of the block's first item
 //	uvarint count      items in the block (>= 1)
-//	uvarint rawLen     uncompressed payload bytes
-//	uvarint compLen    stored payload bytes
-//	byte    method     0 = raw, 1 = LZ (lz.go)
-//	u32le   checksum   CRC-32C (Castagnoli) of the uncompressed payload
-//	[]byte  payload    compLen bytes
+//	uvarint rawLen     payload bytes
+//	uvarint compLen    payload bytes again (must equal rawLen)
+//	byte    0          reserved (must be 0)
+//	u32le   checksum   CRC-32C (Castagnoli) of the payload
+//	[]byte  payload    rawLen bytes
 //
 //	byte    0xE2       end marker
 //	uvarint total      total items in the trace (== the final seq)
+//
+// The reserved byte and the repeated length are where older writers put a
+// compression method and the compressed size. Payloads are always stored
+// as they are now; a block with method 1 (LZ) is rejected as corrupt and
+// its trace must be re-recorded.
 //
 // The delta state (last address, last object) resets at every block
 // boundary, so a block decodes with no context beyond its own bytes: a
@@ -40,9 +45,6 @@ const (
 
 	blockMarker = 0xB2
 	endMarker   = 0xE2
-
-	methodRaw = 0
-	methodLZ  = 1
 
 	headerLen = len(Magic) + 1
 
@@ -69,6 +71,9 @@ var (
 	// ErrBadPosition: a Position handed to OpenBlockReaderAt or SkipTo
 	// does not name a block boundary of this trace.
 	ErrBadPosition = errors.New("trace: position is not a block boundary")
+
+	// errLZBlock is the ErrCorrupt a method-1 block gets.
+	errLZBlock = fmt.Errorf("%w: LZ-compressed block from an older writer; re-record the trace", ErrCorrupt)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -251,8 +256,8 @@ var (
 // BlockWriter
 
 // BlockWriter streams instructions to a v2 block trace. Blocks are cut at
-// an item-count or raw-byte threshold, compressed when compression helps,
-// and written as one Write each; Close appends the end frame.
+// an item-count or raw-byte threshold and written as one Write each; Close
+// appends the end frame.
 type BlockWriter struct {
 	w      io.Writer
 	closed bool
@@ -264,14 +269,12 @@ type BlockWriter struct {
 	itemLimit int
 	byteLimit int
 
-	raw      []byte // open block's uncompressed item encoding
+	raw      []byte // open block's item encoding
 	count    uint64 // items in the open block
 	lastAddr uint64
 	lastObj  uint64
 
 	frame []byte // assembled frame scratch (header + payload)
-	comp  []byte // compression scratch
-	enc   lzEncoder
 }
 
 // NewBlockWriter writes the v2 header and returns a writer with the
@@ -282,7 +285,7 @@ func NewBlockWriter(w io.Writer) (*BlockWriter, error) {
 
 // NewBlockWriterSize is NewBlockWriter with explicit block thresholds
 // (items, rawBytes; zero or negative selects the default). Small blocks
-// seek finer but compress worse.
+// seek finer but cost more framing bytes.
 func NewBlockWriterSize(w io.Writer, items, rawBytes int) (*BlockWriter, error) {
 	if items <= 0 {
 		items = defaultBlockItems
@@ -354,21 +357,15 @@ func (b *BlockWriter) Flush() error {
 	if b.count == 0 {
 		return nil
 	}
-	payload := b.raw
-	method := byte(methodRaw)
-	b.comp = b.enc.compress(b.comp[:0], b.raw)
-	if len(b.comp) < len(b.raw) {
-		payload, method = b.comp, methodLZ
-	}
 	f := b.frame[:0]
 	f = append(f, blockMarker)
 	f = binary.AppendUvarint(f, b.blockSeq)
 	f = binary.AppendUvarint(f, b.count)
 	f = binary.AppendUvarint(f, uint64(len(b.raw)))
-	f = binary.AppendUvarint(f, uint64(len(payload)))
-	f = append(f, method)
+	f = binary.AppendUvarint(f, uint64(len(b.raw)))
+	f = append(f, 0)
 	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(b.raw, castagnoli))
-	f = append(f, payload...)
+	f = append(f, b.raw...)
 	b.frame = f
 	if _, err := b.w.Write(f); err != nil {
 		return fmt.Errorf("trace: writing block: %w", err)
@@ -401,15 +398,42 @@ func (b *BlockWriter) Close() error {
 	return nil
 }
 
-// blockSource: counted reads over a bufio.Reader
+// Copy drains src into dst: it converts a v1 trace to v2, or re-frames a
+// v2 trace with dst's block thresholds. It stops at stream end and returns
+// the number of items copied; the caller closes dst. When src is a
+// ReplayStream, a decode error surfaces as Copy's error rather than a
+// silent short copy.
+func Copy(dst *BlockWriter, src cpu.Stream) (uint64, error) {
+	var n uint64
+	for {
+		in, ok := src.Next()
+		if !ok {
+			break
+		}
+		if err := dst.Append(in); err != nil {
+			return n, err
+		}
+		n++
+	}
+	if rs, ok := src.(ReplayStream); ok {
+		if err := rs.Err(); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// blockSource: the one frame walker
 
 // blockSource reads from a bufio.Reader while tracking the logical file
 // offset of every consumed byte (bufio's read-ahead is invisible to it)
-// and optionally capturing consumed bytes into a frame buffer.
+// and optionally capturing consumed header bytes into a frame buffer.
+// BlockReader and BlockScanner walk a trace through its open, seek, next
+// and payload methods, so the framing rules live in one place.
 type blockSource struct {
 	br  *bufio.Reader
 	off uint64
-	cap *[]byte // when non-nil, consumed bytes are appended here
+	cap *[]byte // when non-nil, bytes consumed by ReadByte are appended here
 }
 
 func (s *blockSource) ReadByte() (byte, error) {
@@ -424,23 +448,6 @@ func (s *blockSource) ReadByte() (byte, error) {
 	return c, nil
 }
 
-func (s *blockSource) readFull(p []byte) error {
-	if _, err := io.ReadFull(s.br, p); err != nil {
-		return err
-	}
-	s.off += uint64(len(p))
-	if s.cap != nil {
-		*s.cap = append(*s.cap, p...)
-	}
-	return nil
-}
-
-func (s *blockSource) discard(n int) error {
-	d, err := s.br.Discard(n)
-	s.off += uint64(d)
-	return err
-}
-
 // uvarint reads one uvarint, mapping every fault (truncation, overflow)
 // to ErrCorrupt.
 func (s *blockSource) uvarint() (uint64, error) {
@@ -449,6 +456,65 @@ func (s *blockSource) uvarint() (uint64, error) {
 		return 0, ErrCorrupt
 	}
 	return v, nil
+}
+
+// open points the source at the start of r, reusing its bufio.Reader when
+// it has one, and consumes the file header. It returns the version byte,
+// which must be 1 or 2.
+func (s *blockSource) open(r io.Reader) (byte, error) {
+	if s.br == nil {
+		s.br = bufio.NewReader(r)
+	} else {
+		s.br.Reset(r)
+	}
+	s.off = 0
+	// Byte-wise read: a heap header buffer here would cost an allocation
+	// on every reader Reset (looping replay resets once per pass).
+	var hdr [headerLen]byte
+	for i := range hdr {
+		c, err := s.ReadByte()
+		if err != nil {
+			return 0, fmt.Errorf("trace: reading header: %w", err)
+		}
+		hdr[i] = c
+	}
+	if string(hdr[:len(Magic)]) != Magic {
+		// Copy before formatting: handing hdr itself to fmt would make the
+		// array escape and allocate on the no-error path too.
+		bad := string(hdr[:len(Magic)])
+		return 0, fmt.Errorf("trace: bad magic %q", bad)
+	}
+	ver := hdr[len(Magic)]
+	if ver != version1 && ver != version2 {
+		return 0, fmt.Errorf("trace: unsupported version %d", ver)
+	}
+	return ver, nil
+}
+
+// openV2 is open for the block-format readers, which refuse v1.
+func (s *blockSource) openV2(r io.Reader) error {
+	ver, err := s.open(r)
+	if err == nil && ver != version2 {
+		err = fmt.Errorf("trace: version %d trace, want %d (Open reads both versions)", ver, version2)
+	}
+	return err
+}
+
+// seek moves an opened source to a recorded block boundary. The zero
+// Position is the first block, where open already left the source.
+func (s *blockSource) seek(rs io.ReadSeeker, pos Position) error {
+	if pos.IsZero() {
+		return nil
+	}
+	if pos.ByteOff < uint64(headerLen) {
+		return fmt.Errorf("%w: byte offset %d is inside the file header", ErrBadPosition, pos.ByteOff)
+	}
+	if _, err := rs.Seek(int64(pos.ByteOff), io.SeekStart); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPosition, err)
+	}
+	s.br.Reset(rs)
+	s.off = pos.ByteOff
+	return nil
 }
 
 // blockHdr is one parsed block frame header.
@@ -468,23 +534,17 @@ func (h blockHdr) validate() error {
 	if h.rawLen == 0 || h.rawLen > maxBlockBytes {
 		return ErrCorrupt
 	}
-	switch h.method {
-	case methodRaw:
-		if h.compLen != h.rawLen {
-			return ErrCorrupt
-		}
-	case methodLZ:
-		if h.compLen == 0 || h.compLen >= h.rawLen {
-			return ErrCorrupt
-		}
-	default:
+	if h.method == 1 {
+		return errLZBlock
+	}
+	if h.method != 0 || h.compLen != h.rawLen {
 		return ErrCorrupt
 	}
 	return nil
 }
 
 // readHdr parses the header fields following a block marker already
-// consumed at offset pos.ByteOff.
+// consumed at offset start.
 func (s *blockSource) readHdr(start uint64) (blockHdr, error) {
 	var h blockHdr
 	var err error
@@ -516,26 +576,62 @@ func (s *blockSource) readHdr(start uint64) (blockHdr, error) {
 	return h, h.validate()
 }
 
-// readFileHeader consumes and validates the 9-byte file header, returning
-// the version byte.
-func readFileHeader(s *blockSource) (byte, error) {
-	// Byte-wise read: a heap header buffer here would cost an allocation
-	// on every reader Reset (looping replay resets once per pass).
-	var hdr [headerLen]byte
-	for i := range hdr {
-		c, err := s.ReadByte()
-		if err != nil {
-			return 0, fmt.Errorf("trace: reading header: %w", err)
+// next reads the frame at the source's position up to its payload: the
+// marker, then either the end frame, whose total must be nextSeq, or a
+// block header, which must be valid and start at item nextSeq. end
+// reports a valid end frame; a block's payload is left unread. Every
+// fault is a typed error carrying the frame's offset.
+func (s *blockSource) next(nextSeq uint64) (h blockHdr, end bool, err error) {
+	start := s.off
+	marker, err := s.ReadByte()
+	if err != nil {
+		return h, false, fmt.Errorf("%w: offset %d: missing end frame: %v", ErrCorrupt, start, err)
+	}
+	switch marker {
+	case endMarker:
+		total, err := s.uvarint()
+		if err != nil || total != nextSeq {
+			return h, false, fmt.Errorf("%w: offset %d: bad end frame", ErrCorrupt, start)
 		}
-		hdr[i] = c
+		return h, true, nil
+	case blockMarker:
+		if h, err = s.readHdr(start); err != nil {
+			return h, false, fmt.Errorf("%w: block at offset %d", err, start)
+		}
+		if h.pos.Seq != nextSeq {
+			return h, false, fmt.Errorf("%w: block at offset %d starts at item %d, expected %d", ErrCorrupt, start, h.pos.Seq, nextSeq)
+		}
+		return h, false, nil
+	default:
+		return h, false, fmt.Errorf("%w: offset %d: bad block marker 0x%02x", ErrCorrupt, start, marker)
 	}
-	if string(hdr[:len(Magic)]) != Magic {
-		// Copy before formatting: handing hdr itself to fmt would make the
-		// array escape and allocate on the no-error path too.
-		bad := string(hdr[:len(Magic)])
-		return 0, fmt.Errorf("trace: bad magic %q", bad)
+}
+
+// payload appends the payload of the block whose header next just read
+// to dst, growing it at most to the header's (bounded) length.
+func (s *blockSource) payload(h blockHdr, dst []byte) ([]byte, error) {
+	n := len(dst)
+	need := n + int(h.rawLen)
+	if cap(dst) < need {
+		grown := make([]byte, n, need)
+		copy(grown, dst)
+		dst = grown
 	}
-	return hdr[len(Magic)], nil
+	if _, err := io.ReadFull(s.br, dst[n:need]); err != nil {
+		return dst, fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, h.pos.ByteOff, err)
+	}
+	s.off += h.rawLen
+	return dst[:need], nil
+}
+
+// skip discards the payload of the block whose header next just read.
+func (s *blockSource) skip(h blockHdr) error {
+	d, err := s.br.Discard(int(h.rawLen))
+	s.off += uint64(d)
+	if err != nil {
+		return fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, h.pos.ByteOff, err)
+	}
+	return nil
 }
 
 // BlockDecoder
@@ -545,36 +641,20 @@ func readFileHeader(s *blockSource) (byte, error) {
 // arena. The zero value is ready to use; it is not safe for concurrent
 // use.
 type BlockDecoder struct {
-	raw   []byte
 	arena []cpu.Instr
 }
 
-// decode decompresses, checksums, and decodes one block payload. The
-// returned slice aliases the decoder's arena: valid until the next call.
+// decode checksums and decodes one block payload. The returned slice
+// aliases the decoder's arena: valid until the next call.
 func (d *BlockDecoder) decode(h blockHdr, payload []byte) ([]cpu.Instr, error) {
-	data := payload
-	if h.method == methodLZ {
-		if cap(d.raw) < int(h.rawLen) {
-			d.raw = make([]byte, 0, int(h.rawLen))
-		}
-		var err error
-		d.raw, err = lzDecompress(d.raw[:0], payload, int(h.rawLen))
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(d.raw)) != h.rawLen {
-			return nil, ErrCorrupt
-		}
-		data = d.raw
-	}
-	if crc32.Checksum(data, castagnoli) != h.crc {
+	if crc32.Checksum(payload, castagnoli) != h.crc {
 		return nil, ErrChecksum
 	}
 	if cap(d.arena) < int(h.count) {
 		d.arena = make([]cpu.Instr, int(h.count))
 	}
 	arena := d.arena[:h.count]
-	if err := decodeItems(data, arena); err != nil {
+	if err := decodeItems(payload, arena); err != nil {
 		return nil, err
 	}
 	return arena, nil
@@ -617,7 +697,7 @@ func (d *BlockDecoder) DecodeFrame(frame []byte, expectSeq uint64) ([]cpu.Instr,
 	if h.pos.Seq != expectSeq {
 		return nil, fmt.Errorf("%w: block starts at item %d, expected %d", ErrCorrupt, h.pos.Seq, expectSeq)
 	}
-	if uint64(len(frame)-p) != h.compLen {
+	if uint64(len(frame)-p) != h.rawLen {
 		return nil, ErrCorrupt
 	}
 	return d.decode(h, frame[p:])
@@ -631,9 +711,9 @@ func (d *BlockDecoder) DecodeFrame(frame []byte, expectSeq uint64) ([]cpu.Instr,
 // trace's block size. It also implements cpu.BatchStream, letting a core
 // pull whole slices per refill instead of one instruction per call.
 type BlockReader struct {
-	src  blockSource
-	dec  BlockDecoder
-	comp []byte // stored-payload buffer
+	src     blockSource
+	dec     BlockDecoder
+	payload []byte // payload read buffer
 
 	arena    []cpu.Instr
 	idx, n   int
@@ -648,29 +728,19 @@ type BlockReader struct {
 // NewBlockReader validates the v2 header and returns a replay stream
 // positioned at the first block.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	src := blockSource{br: bufio.NewReader(r)}
-	ver, err := readFileHeader(&src)
-	if err != nil {
+	b := &BlockReader{}
+	if err := b.src.openV2(r); err != nil {
 		return nil, err
 	}
-	if ver != version2 {
-		return nil, fmt.Errorf("trace: version %d trace, want %d (use Open for version dispatch)", ver, version2)
-	}
-	return &BlockReader{src: src}, nil
+	return b, nil
 }
 
 // Reset rewires the reader to a fresh trace stream, revalidating the
 // header while keeping every decode buffer — a looping replay allocates
 // only on its first pass.
 func (b *BlockReader) Reset(r io.Reader) error {
-	b.src.br.Reset(r)
-	b.src.off = 0
-	ver, err := readFileHeader(&b.src)
-	if err != nil {
+	if err := b.src.openV2(r); err != nil {
 		return err
-	}
-	if ver != version2 {
-		return fmt.Errorf("trace: version %d trace, want %d", ver, version2)
 	}
 	b.idx, b.n = 0, 0
 	b.blockSeq, b.nextSeq = 0, 0
@@ -765,54 +835,41 @@ func (b *BlockReader) loadBlock() bool {
 	if b.done {
 		return false
 	}
-	start := b.src.off
-	marker, err := b.src.ReadByte()
+	h, end, err := b.src.next(b.nextSeq)
 	if err != nil {
-		return b.fail(fmt.Errorf("%w: offset %d: missing end frame: %v", ErrCorrupt, start, err))
+		return b.fail(err)
 	}
-	switch marker {
-	case endMarker:
-		total, err := b.src.uvarint()
-		if err != nil || total != b.nextSeq {
-			return b.fail(fmt.Errorf("%w: offset %d: bad end frame", ErrCorrupt, start))
-		}
+	if end {
 		b.done = true
 		return false
-	case blockMarker:
-		h, err := b.src.readHdr(start)
-		if err != nil {
-			return b.fail(fmt.Errorf("%w: block at offset %d", err, start))
-		}
-		if h.pos.Seq != b.nextSeq {
-			return b.fail(fmt.Errorf("%w: block at offset %d starts at item %d, expected %d", ErrCorrupt, start, h.pos.Seq, b.nextSeq))
-		}
-		if cap(b.comp) < int(h.compLen) {
-			b.comp = make([]byte, int(h.compLen))
-		}
-		payload := b.comp[:h.compLen]
-		if err := b.src.readFull(payload); err != nil {
-			return b.fail(fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, start, err))
-		}
-		items, err := b.dec.decode(h, payload)
-		if err != nil {
-			return b.fail(fmt.Errorf("%w: block at offset %d (items %d..%d)", err, start, h.pos.Seq, h.pos.Seq+h.count-1))
-		}
-		b.arena = items
-		b.idx, b.n = 0, len(items)
-		b.blockSeq = h.pos.Seq
-		b.nextSeq = h.pos.Seq + h.count
-		b.blockPos = h.pos
-		return true
-	default:
-		return b.fail(fmt.Errorf("%w: offset %d: bad block marker 0x%02x", ErrCorrupt, start, marker))
 	}
+	return b.decodeBlock(h)
+}
+
+// decodeBlock reads the payload of the block whose header was just read
+// and decodes it into the arena, positioned at its first item.
+func (b *BlockReader) decodeBlock(h blockHdr) bool {
+	var err error
+	if b.payload, err = b.src.payload(h, b.payload[:0]); err != nil {
+		return b.fail(err)
+	}
+	items, err := b.dec.decode(h, b.payload)
+	if err != nil {
+		return b.fail(fmt.Errorf("%w: block at offset %d (items %d..%d)", err, h.pos.ByteOff, h.pos.Seq, h.pos.Seq+h.count-1))
+	}
+	b.arena = items
+	b.idx, b.n = 0, len(items)
+	b.blockSeq = h.pos.Seq
+	b.nextSeq = h.pos.Seq + h.count
+	b.blockPos = h.pos
+	return true
 }
 
 // SkipTo advances the reader (forward only) so the next item returned is
 // stream item seq. Whole blocks before the target are skipped by header,
-// without decompressing or decoding their payloads. Seeking to the exact
-// end of the trace is valid and leaves the reader cleanly exhausted;
-// anything past it, or behind items already consumed, is ErrBadPosition.
+// without decoding their payloads. Seeking to the exact end of the trace
+// is valid and leaves the reader cleanly exhausted; anything past it, or
+// behind items already consumed, is ErrBadPosition.
 func (b *BlockReader) SkipTo(seq uint64) error {
 	if b.n > 0 && seq >= b.blockSeq && seq < b.nextSeq {
 		b.idx = int(seq - b.blockSeq)
@@ -821,70 +878,32 @@ func (b *BlockReader) SkipTo(seq uint64) error {
 	if seq < b.nextSeq {
 		return fmt.Errorf("%w: item %d is behind the reader (next undecoded item %d)", ErrBadPosition, seq, b.nextSeq)
 	}
-	for {
-		if b.done {
-			if b.err == nil && seq == b.nextSeq {
-				return nil
-			}
-			if b.err != nil {
-				return b.err
-			}
-			return fmt.Errorf("%w: item %d is past the end of the trace (%d items)", ErrBadPosition, seq, b.nextSeq)
-		}
-		start := b.src.off
-		marker, err := b.src.ReadByte()
-		if err != nil {
-			b.fail(fmt.Errorf("%w: offset %d: missing end frame: %v", ErrCorrupt, start, err))
-			return b.err
-		}
-		switch marker {
-		case endMarker:
-			total, err := b.src.uvarint()
-			if err != nil || total != b.nextSeq {
-				b.fail(fmt.Errorf("%w: offset %d: bad end frame", ErrCorrupt, start))
-				return b.err
-			}
+	for !b.done {
+		h, end, err := b.src.next(b.nextSeq)
+		switch {
+		case err != nil:
+			b.fail(err)
+		case end:
 			b.done = true
-		case blockMarker:
-			h, err := b.src.readHdr(start)
-			if err != nil || h.pos.Seq != b.nextSeq {
-				b.fail(fmt.Errorf("%w: block at offset %d", ErrCorrupt, start))
-				return b.err
+		case seq >= h.pos.Seq+h.count:
+			// Entirely before the target: skip the payload bytes.
+			if err := b.src.skip(h); err != nil {
+				b.fail(err)
+				break
 			}
-			if seq >= h.pos.Seq+h.count {
-				// Entirely before the target: skip the payload bytes.
-				if err := b.src.discard(int(h.compLen)); err != nil {
-					b.fail(fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, start, err))
-					return b.err
-				}
-				b.nextSeq = h.pos.Seq + h.count
-				continue
-			}
-			if cap(b.comp) < int(h.compLen) {
-				b.comp = make([]byte, int(h.compLen))
-			}
-			payload := b.comp[:h.compLen]
-			if err := b.src.readFull(payload); err != nil {
-				b.fail(fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, start, err))
-				return b.err
-			}
-			items, err := b.dec.decode(h, payload)
-			if err != nil {
-				b.fail(fmt.Errorf("%w: block at offset %d", err, start))
-				return b.err
-			}
-			b.arena = items
-			b.n = len(items)
-			b.idx = int(seq - h.pos.Seq)
-			b.blockSeq = h.pos.Seq
 			b.nextSeq = h.pos.Seq + h.count
-			b.blockPos = h.pos
+		case b.decodeBlock(h):
+			b.idx = int(seq - h.pos.Seq)
 			return nil
-		default:
-			b.fail(fmt.Errorf("%w: offset %d: bad block marker 0x%02x", ErrCorrupt, start, marker))
-			return b.err
 		}
 	}
+	if b.err != nil {
+		return b.err
+	}
+	if seq == b.nextSeq {
+		return nil
+	}
+	return fmt.Errorf("%w: item %d is past the end of the trace (%d items)", ErrBadPosition, seq, b.nextSeq)
 }
 
 // OpenBlockReaderAt opens a v2 trace at a recorded Position: the header
@@ -896,26 +915,13 @@ func OpenBlockReaderAt(rs io.ReadSeeker, pos Position) (*BlockReader, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	src := blockSource{br: bufio.NewReader(rs)}
-	ver, err := readFileHeader(&src)
-	if err != nil {
+	b := &BlockReader{}
+	if err := b.src.openV2(rs); err != nil {
 		return nil, err
 	}
-	if ver != version2 {
-		return nil, fmt.Errorf("trace: version %d trace, want %d", ver, version2)
+	if err := b.src.seek(rs, pos); err != nil {
+		return nil, err
 	}
-	if pos.IsZero() {
-		pos.ByteOff = uint64(headerLen)
-	}
-	if pos.ByteOff < uint64(headerLen) {
-		return nil, fmt.Errorf("%w: byte offset %d is inside the file header", ErrBadPosition, pos.ByteOff)
-	}
-	if _, err := rs.Seek(int64(pos.ByteOff), io.SeekStart); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPosition, err)
-	}
-	src.br.Reset(rs)
-	src.off = pos.ByteOff
-	b := &BlockReader{src: src}
 	b.nextSeq = pos.Seq
 	b.blockSeq = pos.Seq
 	if !b.loadBlock() && b.err != nil {
@@ -928,12 +934,10 @@ func OpenBlockReaderAt(rs io.ReadSeeker, pos Position) (*BlockReader, error) {
 
 // BlockInfo describes one scanned block frame.
 type BlockInfo struct {
-	Pos     Position
-	Count   uint64
-	RawLen  uint64
-	CompLen uint64
-	Method  byte
-	CRC     uint32
+	Pos    Position
+	Count  uint64
+	RawLen uint64 // payload bytes
+	CRC    uint32
 }
 
 // BlockScanner iterates a v2 trace block by block without decoding
@@ -945,7 +949,6 @@ type BlockScanner struct {
 	frame   []byte
 	info    BlockInfo
 	nextSeq uint64
-	total   uint64
 	end     bool
 	err     error
 }
@@ -953,15 +956,11 @@ type BlockScanner struct {
 // NewBlockScanner validates the v2 header and returns a scanner
 // positioned before the first block.
 func NewBlockScanner(r io.Reader) (*BlockScanner, error) {
-	src := blockSource{br: bufio.NewReader(r)}
-	ver, err := readFileHeader(&src)
-	if err != nil {
+	s := &BlockScanner{}
+	if err := s.src.openV2(r); err != nil {
 		return nil, err
 	}
-	if ver != version2 {
-		return nil, fmt.Errorf("trace: version %d trace, want %d", ver, version2)
-	}
-	return &BlockScanner{src: src}, nil
+	return s, nil
 }
 
 // NewBlockScannerAt is NewBlockScanner resuming at a recorded Position:
@@ -972,17 +971,9 @@ func NewBlockScannerAt(rs io.ReadSeeker, pos Position) (*BlockScanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pos.IsZero() {
-		return s, nil
+	if err := s.src.seek(rs, pos); err != nil {
+		return nil, err
 	}
-	if pos.ByteOff < uint64(headerLen) {
-		return nil, fmt.Errorf("%w: byte offset %d is inside the file header", ErrBadPosition, pos.ByteOff)
-	}
-	if _, err := rs.Seek(int64(pos.ByteOff), io.SeekStart); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPosition, err)
-	}
-	s.src.br.Reset(rs)
-	s.src.off = pos.ByteOff
 	s.nextSeq = pos.Seq
 	return s, nil
 }
@@ -993,55 +984,24 @@ func (s *BlockScanner) Scan() bool {
 	if s.end || s.err != nil {
 		return false
 	}
-	start := s.src.off
 	s.frame = s.frame[:0]
 	s.src.cap = &s.frame
-	defer func() { s.src.cap = nil }()
-	marker, err := s.src.ReadByte()
+	h, end, err := s.src.next(s.nextSeq)
+	s.src.cap = nil
+	if err == nil && !end {
+		s.frame, err = s.src.payload(h, s.frame)
+	}
 	if err != nil {
-		s.err = fmt.Errorf("%w: offset %d: missing end frame: %v", ErrCorrupt, start, err)
+		s.err = err
 		return false
 	}
-	switch marker {
-	case endMarker:
-		total, err := s.src.uvarint()
-		if err != nil || total != s.nextSeq {
-			s.err = fmt.Errorf("%w: offset %d: bad end frame", ErrCorrupt, start)
-			return false
-		}
-		s.total = total
+	if end {
 		s.end = true
 		return false
-	case blockMarker:
-		h, err := s.src.readHdr(start)
-		if err != nil {
-			s.err = fmt.Errorf("%w: block at offset %d", err, start)
-			return false
-		}
-		if h.pos.Seq != s.nextSeq {
-			s.err = fmt.Errorf("%w: block at offset %d starts at item %d, expected %d", ErrCorrupt, start, h.pos.Seq, s.nextSeq)
-			return false
-		}
-		need := len(s.frame) + int(h.compLen)
-		if cap(s.frame) < need {
-			grown := make([]byte, len(s.frame), need)
-			copy(grown, s.frame)
-			s.frame = grown
-		}
-		payload := s.frame[len(s.frame):need]
-		s.src.cap = nil // readFull writes straight into the frame buffer
-		if err := s.src.readFull(payload); err != nil {
-			s.err = fmt.Errorf("%w: block at offset %d: truncated payload: %v", ErrCorrupt, start, err)
-			return false
-		}
-		s.frame = s.frame[:need]
-		s.info = BlockInfo{Pos: h.pos, Count: h.count, RawLen: h.rawLen, CompLen: h.compLen, Method: h.method, CRC: h.crc}
-		s.nextSeq = h.pos.Seq + h.count
-		return true
-	default:
-		s.err = fmt.Errorf("%w: offset %d: bad block marker 0x%02x", ErrCorrupt, start, marker)
-		return false
 	}
+	s.info = BlockInfo{Pos: h.pos, Count: h.count, RawLen: h.rawLen, CRC: h.crc}
+	s.nextSeq = h.pos.Seq + h.count
+	return true
 }
 
 // Info describes the current block (valid after a true Scan).
@@ -1059,7 +1019,7 @@ func (s *BlockScanner) NextPos() Position {
 
 // Total returns the trace's item count, valid once Scan has returned
 // false at a clean end frame.
-func (s *BlockScanner) Total() (uint64, bool) { return s.total, s.end }
+func (s *BlockScanner) Total() (uint64, bool) { return s.nextSeq, s.end }
 
 // Err returns the error that stopped the scan, nil at clean end.
 func (s *BlockScanner) Err() error { return s.err }
@@ -1075,9 +1035,9 @@ type ReplayStream interface {
 }
 
 var (
-	_ ReplayStream = (*Reader)(nil)
-	_ ReplayStream = (*BlockReader)(nil)
-	_ ReplayStream = (*Loop)(nil)
+	_ ReplayStream    = (*Reader)(nil)
+	_ ReplayStream    = (*BlockReader)(nil)
+	_ ReplayStream    = (*Loop)(nil)
 	_ cpu.BatchStream = (*BlockReader)(nil)
 )
 
@@ -1085,43 +1045,13 @@ var (
 // header's version byte: v1 traces stream through Reader, v2 traces
 // through BlockReader.
 func Open(r io.Reader) (ReplayStream, error) {
-	br := bufio.NewReader(r)
-	src := blockSource{br: br}
-	ver, err := readFileHeader(&src)
+	var src blockSource
+	ver, err := src.open(r)
 	if err != nil {
 		return nil, err
 	}
-	switch ver {
-	case version:
-		return &Reader{r: br}, nil
-	case version2:
-		return &BlockReader{src: src}, nil
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
+	if ver == version1 {
+		return &Reader{r: src.br}, nil
 	}
-}
-
-// Copy drains src into dst, converting between trace versions (or
-// re-framing a v2 trace with different block thresholds). It stops at
-// stream end and returns the number of items copied; the caller closes
-// dst. When src is a ReplayStream, a decode error surfaces as Copy's
-// error rather than a silent short copy.
-func Copy(dst Appender, src cpu.Stream) (uint64, error) {
-	var n uint64
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := dst.Append(in); err != nil {
-			return n, err
-		}
-		n++
-	}
-	if rs, ok := src.(ReplayStream); ok {
-		if err := rs.Err(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return &BlockReader{src: src}, nil
 }

@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"moca/internal/cpu"
@@ -115,17 +119,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	} else if _, ok := s.(*BlockReader); !ok {
 		t.Fatalf("Open(v2) returned %T, want *BlockReader", s)
 	}
-	var v1 bytes.Buffer
-	w1, _ := NewWriter(&v1)
-	for _, in := range items[:100] {
-		w1.Append(in)
-	}
-	w1.Close()
-	if s, err := Open(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatalf("Open(v1): %v", err)
-	} else if _, ok := s.(*Reader); !ok {
-		t.Fatalf("Open(v1) returned %T, want *Reader", s)
-	}
+	sameItems(t, drain(t, openV1(t, encodeV1(items[:100]))), items[:100], "Open(v1)")
 }
 
 func TestBlockWriterFlushBoundaries(t *testing.T) {
@@ -223,8 +217,8 @@ func TestOpenBlockReaderAt(t *testing.T) {
 	bad := []Position{
 		{ByteOff: positions[1].ByteOff + 1, Seq: positions[1].Seq}, // mid-frame
 		{ByteOff: positions[1].ByteOff, Seq: positions[1].Seq + 7}, // wrong seq
-		{ByteOff: 3, Seq: 0},                                       // inside header
-		{ByteOff: uint64(len(data)) + 100, Seq: 0},                 // past EOF
+		{ByteOff: 3, Seq: 0},                       // inside header
+		{ByteOff: uint64(len(data)) + 100, Seq: 0}, // past EOF
 	}
 	for _, pos := range bad {
 		if _, err := OpenBlockReaderAt(bytes.NewReader(data), pos); !errors.Is(err, ErrBadPosition) {
@@ -234,7 +228,7 @@ func TestOpenBlockReaderAt(t *testing.T) {
 }
 
 // corruptCRC flips a bit of blockIdx's stored checksum, returning the
-// damaged copy — guaranteed ErrChecksum regardless of compression method.
+// damaged copy — guaranteed ErrChecksum.
 func corruptCRC(t *testing.T, data []byte, blockIdx int) []byte {
 	t.Helper()
 	sc, err := NewBlockScanner(bytes.NewReader(data))
@@ -248,7 +242,7 @@ func corruptCRC(t *testing.T, data []byte, blockIdx int) []byte {
 		if i == blockIdx {
 			info := sc.Info()
 			frameLen := uint64(len(sc.Frame()))
-			crcOff := info.Pos.ByteOff + frameLen - info.CompLen - 4
+			crcOff := info.Pos.ByteOff + frameLen - info.RawLen - 4
 			out := append([]byte(nil), data...)
 			out[crcOff] ^= 0x01
 			return out
@@ -378,75 +372,100 @@ func TestBlockWriterReaderReset(t *testing.T) {
 func TestV1V2V1RoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		items := genItems(3000, 100+seed)
-		var v1 bytes.Buffer
-		w1, _ := NewWriter(&v1)
-		for _, in := range items {
-			// Normalize like the writer does: Compute N clamps to >= 1.
-			if err := w1.Append(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w1.Close()
+		v1 := encodeV1(items)
 
 		// v1 → v2
 		var v2 bytes.Buffer
-		r1, _ := NewReader(bytes.NewReader(v1.Bytes()))
 		w2, _ := NewBlockWriterSize(&v2, 700, 0)
-		if n, err := Copy(w2, r1); err != nil || n != uint64(len(items)) {
+		if n, err := Copy(w2, openV1(t, v1)); err != nil || n != uint64(len(items)) {
 			t.Fatalf("v1→v2 copy: n=%d err=%v", n, err)
 		}
 		w2.Close()
 
 		// v2 → v1 again
-		var v1b bytes.Buffer
 		r2, _ := NewBlockReader(bytes.NewReader(v2.Bytes()))
-		w1b, _ := NewWriter(&v1b)
-		if n, err := Copy(w1b, r2); err != nil || n != uint64(len(items)) {
-			t.Fatalf("v2→v1 copy: n=%d err=%v", n, err)
-		}
-		w1b.Close()
-
-		if !bytes.Equal(v1.Bytes(), v1b.Bytes()) {
+		if v1b := encodeV1(drain(t, r2)); !bytes.Equal(v1, v1b) {
 			t.Fatalf("seed %d: v1→v2→v1 is not byte-identical (%d vs %d bytes)",
-				seed, v1.Len(), v1b.Len())
+				seed, len(v1), len(v1b))
 		}
 		rd, _ := NewBlockReader(bytes.NewReader(v2.Bytes()))
 		sameItems(t, drain(t, rd), items, "v2 decode of converted trace")
 	}
 }
 
-func TestLZRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var enc lzEncoder
-	cases := [][]byte{
-		nil,
-		[]byte("a"),
-		bytes.Repeat([]byte("ab"), 4000),
-		bytes.Repeat([]byte{0}, 100_000),
-		[]byte("abcdabcdabcdxyzxyzxyzxyz0123456789"),
+// lzEraFrame hand-builds the block frame an older writer would have
+// produced: method 1 is its LZ encoding of 16 compute items (one literal
+// pair, then a 30-byte overlapping back-reference), method 0 stores the
+// same payload raw but declares a stored length of compLen.
+func lzEraFrame(method byte, compLen uint64) []byte {
+	raw := bytes.Repeat([]byte{opCompute, 5}, 16)
+	payload := raw
+	if method == 1 {
+		payload = []byte{2, opCompute, 5, 2, 26, 0}
 	}
-	random := make([]byte, 10_000)
-	rng.Read(random)
-	cases = append(cases, random)
-	seqlike := make([]byte, 0, 60_000)
-	for i := 0; i < 6000; i++ {
-		seqlike = append(seqlike, byte(opLoad), 0x80, byte(i%7), 0x02)
-	}
-	cases = append(cases, seqlike)
+	f := []byte{blockMarker}
+	f = binary.AppendUvarint(f, 0)
+	f = binary.AppendUvarint(f, 16)
+	f = binary.AppendUvarint(f, uint64(len(raw)))
+	f = binary.AppendUvarint(f, compLen)
+	f = append(f, method)
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(raw, castagnoli))
+	return append(f, payload...)
+}
 
-	for i, src := range cases {
-		comp := enc.compress(nil, src)
-		out, err := lzDecompress(make([]byte, 0, len(src)), comp, len(src))
-		if err != nil {
-			t.Fatalf("case %d: decompress: %v", i, err)
-		}
-		if !bytes.Equal(out, src) {
-			t.Fatalf("case %d: round trip mismatch (%d bytes in, %d out)", i, len(src), len(out))
-		}
+// lzEraTraces returns the two LZ-era frames, each alone and wrapped into
+// a complete v2 trace (header, frame, end frame).
+func lzEraTraces() (frames, traces [][]byte) {
+	for _, f := range [][]byte{lzEraFrame(1, 6), lzEraFrame(0, 31)} {
+		tr := append([]byte(Magic), version2)
+		tr = append(tr, f...)
+		tr = append(tr, endMarker, 16)
+		frames = append(frames, f)
+		traces = append(traces, tr)
 	}
-	// Compressible input must actually shrink.
-	comp := enc.compress(nil, seqlike)
-	if len(comp) >= len(seqlike)/2 {
-		t.Fatalf("repetitive input compressed to %d/%d bytes", len(comp), len(seqlike))
+	return frames, traces
+}
+
+// TestLZEraFramesRejected: a method-1 (LZ) block and a block whose stored
+// length differs from its raw length are corrupt on every read path —
+// typed ErrCorrupt, no panic, no hang — and the LZ one says why.
+func TestLZEraFramesRejected(t *testing.T) {
+	frames, traces := lzEraTraces()
+	for i, data := range traces {
+		check := func(path string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("frame %d, %s: %v, want ErrCorrupt", i, path, err)
+			}
+			if i == 0 && !strings.Contains(err.Error(), "re-record") {
+				t.Errorf("frame %d, %s: %q does not say to re-record", i, path, err)
+			}
+		}
+		r, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(t, r); len(got) != 0 {
+			t.Fatalf("frame %d: BlockReader decoded %d items", i, len(got))
+		}
+		check("BlockReader", r.Err())
+
+		sc, err := NewBlockScanner(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Scan() {
+			t.Fatalf("frame %d: BlockScanner accepted the frame", i)
+		}
+		check("BlockScanner", sc.Err())
+
+		for _, seq := range []uint64{3, 16} { // inside, and past, the block
+			r, _ := NewBlockReader(bytes.NewReader(data))
+			check(fmt.Sprintf("SkipTo(%d)", seq), r.SkipTo(seq))
+		}
+
+		var dec BlockDecoder
+		_, err = dec.DecodeFrame(frames[i], 0)
+		check("DecodeFrame", err)
 	}
 }

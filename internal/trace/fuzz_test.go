@@ -19,24 +19,14 @@ func fuzzSeedTrace(version int) []byte {
 		{Kind: cpu.Store, VAddr: 0x1000_0000_0080, Obj: 5},
 		{Kind: cpu.Compute, N: 3},
 	}
-	var buf bytes.Buffer
-	var w interface {
-		Append(in cpu.Instr) error
-		Close() error
-	}
 	if version == 1 {
-		w1, err := NewWriter(&buf)
-		if err != nil {
-			panic(err)
-		}
-		w = w1
-	} else {
-		// Two items per block so the seed spans several block frames.
-		w2, err := NewBlockWriterSize(&buf, 2, 0)
-		if err != nil {
-			panic(err)
-		}
-		w = w2
+		return encodeV1(items)
+	}
+	// Two items per block so the seed spans several block frames.
+	var buf bytes.Buffer
+	w, err := NewBlockWriterSize(&buf, 2, 0)
+	if err != nil {
+		panic(err)
 	}
 	for _, in := range items {
 		if err := w.Append(in); err != nil {
@@ -60,8 +50,8 @@ func FuzzReader(f *testing.F) {
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(v1[:len(v1)-3])
-	f.Add(v2[:len(v2)-3])      // truncated: missing end frame tail
-	f.Add(v2[:headerLen+4])    // truncated mid block header
+	f.Add(v2[:len(v2)-3])   // truncated: missing end frame tail
+	f.Add(v2[:headerLen+4]) // truncated mid block header
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	for _, seed := range [][]byte{v1, v2} {
@@ -120,9 +110,13 @@ func FuzzBlockSeek(f *testing.F) {
 	f.Add(v2, uint64(0), uint64(0), uint64(2))
 	f.Add(v2, uint64(headerLen), uint64(0), uint64(4))
 	f.Add(v2, uint64(len(v2)-2), uint64(5), uint64(5))
-	f.Add(v2, uint64(13), uint64(2), uint64(3))      // mid-stream boundary guess
+	f.Add(v2, uint64(13), uint64(2), uint64(3)) // mid-stream boundary guess
 	f.Add(v2[:len(v2)-4], uint64(13), uint64(2), uint64(9))
 	f.Add([]byte(Magic+"\x02"), uint64(1<<40), uint64(1<<40), uint64(0))
+	_, lzEra := lzEraTraces()
+	for _, data := range lzEra {
+		f.Add(data, uint64(0), uint64(0), uint64(3))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, byteOff, seq, skip uint64) {
 		r, err := OpenBlockReaderAt(bytes.NewReader(data), Position{ByteOff: byteOff, Seq: seq})
@@ -167,6 +161,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{blockMarker}, uint64(0))
+	lzEra, _ := lzEraTraces()
+	for _, frame := range lzEra {
+		f.Add(frame, uint64(0))
+	}
 
 	f.Fuzz(func(t *testing.T, frame []byte, expectSeq uint64) {
 		var d BlockDecoder

@@ -21,10 +21,12 @@ import (
 	"moca/internal/cpu"
 )
 
-// Magic and version identify the file format.
+// Magic identifies a trace file; the byte after it is the format version.
+// Version 1 is a single delta/varint stream, readable through Open only;
+// version 2 is the block format every writer produces (block.go).
 const (
-	Magic   = "MOCATRC1"
-	version = 1
+	Magic    = "MOCATRC1"
+	version1 = 1
 )
 
 // opcodes
@@ -33,119 +35,12 @@ const (
 	opLoad    = 1
 	opLoadDep = 2
 	opStore   = 3
-	opEnd     = 255
-)
-
-// Writer streams instructions to a trace file.
-type Writer struct {
-	w      *bufio.Writer
-	count  uint64
-	closed bool
-
-	lastAddr uint64
-	lastObj  uint64
-}
-
-// NewWriter writes a trace header and returns the writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	var hdr [1]byte
-	hdr[0] = version
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Append records one instruction.
-func (t *Writer) Append(in cpu.Instr) error {
-	if t.closed {
-		return fmt.Errorf("trace: append after Close")
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := t.w.Write(buf[:n])
-		return err
-	}
-	writeVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := t.w.Write(buf[:n])
-		return err
-	}
-
-	switch in.Kind {
-	case cpu.Compute:
-		n := in.N
-		if n < 1 {
-			n = 1
-		}
-		if err := t.w.WriteByte(opCompute); err != nil {
-			return err
-		}
-		if err := writeUvarint(uint64(n)); err != nil {
-			return err
-		}
-	case cpu.Load, cpu.Store:
-		op := byte(opStore)
-		if in.Kind == cpu.Load {
-			if in.DependsOnPrev {
-				op = opLoadDep
-			} else {
-				op = opLoad
-			}
-		}
-		if err := t.w.WriteByte(op); err != nil {
-			return err
-		}
-		// Addresses delta-encode against the previous access; objects
-		// delta-encode too (usually unchanged or nearby).
-		if err := writeVarint(int64(in.VAddr) - int64(t.lastAddr)); err != nil {
-			return err
-		}
-		if err := writeVarint(int64(in.Obj) - int64(t.lastObj)); err != nil {
-			return err
-		}
-		t.lastAddr, t.lastObj = in.VAddr, in.Obj
-	default:
-		return fmt.Errorf("trace: unknown instruction kind %d", in.Kind)
-	}
-	t.count++
-	return nil
-}
-
-// Count returns the number of recorded instructions (compute batches count
-// once).
-func (t *Writer) Count() uint64 { return t.count }
-
-// Close terminates and flushes the trace.
-func (t *Writer) Close() error {
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	if err := t.w.WriteByte(opEnd); err != nil {
-		return err
-	}
-	return t.w.Flush()
-}
-
-// Appender records instructions: *Writer (v1) and *BlockWriter (v2).
-type Appender interface {
-	Append(in cpu.Instr) error
-}
-
-var (
-	_ Appender = (*Writer)(nil)
-	_ Appender = (*BlockWriter)(nil)
+	opEnd     = 255 // v1 only: terminates the stream
 )
 
 // Record drains up to n instructions from a stream into the writer.
 // It returns the number recorded (less than n if the stream ended).
-func Record(w Appender, s cpu.Stream, n uint64) (uint64, error) {
+func Record(w *BlockWriter, s cpu.Stream, n uint64) (uint64, error) {
 	var recorded uint64
 	for recorded < n {
 		in, ok := s.Next()
@@ -160,7 +55,8 @@ func Record(w Appender, s cpu.Stream, n uint64) (uint64, error) {
 	return recorded, nil
 }
 
-// Reader replays a trace as a cpu.Stream.
+// Reader replays a v1 trace as a cpu.Stream. Open returns one for a v1
+// file, positioned after the header.
 type Reader struct {
 	r    *bufio.Reader
 	done bool
@@ -168,26 +64,6 @@ type Reader struct {
 
 	lastAddr uint64
 	lastObj  uint64
-}
-
-// NewReader validates the header and returns a replay stream.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", err)
-	}
-	if ver != version {
-		return nil, fmt.Errorf("trace: unsupported version %d (Open dispatches v1 and v2)", ver)
-	}
-	return &Reader{r: br}, nil
 }
 
 // Err returns the decode error that terminated the stream, if any.

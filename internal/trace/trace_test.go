@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -10,25 +11,40 @@ import (
 	"moca/internal/workload"
 )
 
-func roundTrip(t *testing.T, ins []cpu.Instr) []cpu.Instr {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range ins {
-		if err := w.Append(in); err != nil {
-			t.Fatal(err)
+// encodeV1 is the v1 encoding of items: the header, every item on one
+// continuous delta state, and the end opcode. Nothing writes v1 any more;
+// this is the reference the v1 reader and the checked-in v1 fixture are
+// held to.
+func encodeV1(items []cpu.Instr) []byte {
+	out := append([]byte(Magic), version1)
+	var lastAddr, lastObj uint64
+	for _, in := range items {
+		var err error
+		if out, err = appendItem(out, in, &lastAddr, &lastObj); err != nil {
+			panic(err)
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	return append(out, opEnd)
+}
+
+// openV1 opens v1 bytes through the version dispatch, failing the test if
+// they do not land on the v1 Reader.
+func openV1(t *testing.T, data []byte) *Reader {
+	t.Helper()
+	s, err := Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, ok := s.(*Reader)
+	if !ok {
+		t.Fatalf("Open returned %T, want *Reader", s)
+	}
+	return r
+}
+
+func roundTrip(t *testing.T, ins []cpu.Instr) []cpu.Instr {
+	t.Helper()
+	r := openV1(t, encodeV1(ins))
 	var out []cpu.Instr
 	for {
 		in, ok := r.Next()
@@ -74,7 +90,7 @@ func TestRecordFromWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewBlockWriter(&buf)
 	n, err := Record(w, app.Stream(), 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +113,7 @@ func TestRecordFromWorkload(t *testing.T) {
 	a2 := heap.New(heap.Config{})
 	app2, _ := workload.Instantiate(workload.GCC(), a2, 0)
 	fresh := app2.Stream()
-	r, err := NewReader(&buf)
+	r, err := Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,22 +136,18 @@ func TestRecordFromWorkload(t *testing.T) {
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
+	if _, err := Open(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := NewReader(bytes.NewReader([]byte("MOCA"))); err == nil {
+	if _, err := Open(bytes.NewReader([]byte("MOCA"))); err == nil {
 		t.Error("truncated header accepted")
 	}
 	bad := append([]byte(Magic), 99) // wrong version
-	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+	if _, err := Open(bytes.NewReader(bad)); err == nil {
 		t.Error("wrong version accepted")
 	}
 	// Unknown opcode after a valid header.
-	evil := append([]byte(Magic), 1, 200)
-	r, err := NewReader(bytes.NewReader(evil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openV1(t, append([]byte(Magic), version1, 200))
 	if _, ok := r.Next(); ok {
 		t.Error("unknown opcode produced an instruction")
 	}
@@ -145,15 +157,9 @@ func TestReaderRejectsGarbage(t *testing.T) {
 }
 
 func TestTruncatedTraceStopsCleanly(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Append(cpu.Instr{Kind: cpu.Load, VAddr: 0x40, Obj: 1})
-	w.Close()
-	data := buf.Bytes()[:buf.Len()-2] // drop the end marker and a byte
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeV1([]cpu.Instr{{Kind: cpu.Load, VAddr: 0x40, Obj: 1}})
+	data = data[:len(data)-2] // drop the end marker and a byte
+	r := openV1(t, data)
 	for {
 		if _, ok := r.Next(); !ok {
 			break
@@ -168,7 +174,7 @@ func TestTruncatedTraceStopsCleanly(t *testing.T) {
 
 func TestAppendAfterClose(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	w, _ := NewBlockWriter(&buf)
 	w.Close()
 	if err := w.Append(cpu.Instr{Kind: cpu.Compute, N: 1}); err == nil {
 		t.Error("append after close accepted")
@@ -176,16 +182,14 @@ func TestAppendAfterClose(t *testing.T) {
 }
 
 func TestLoopRestartsStream(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var ins []cpu.Instr
 	for i := 0; i < 5; i++ {
-		w.Append(cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
+		ins = append(ins, cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
 	}
-	w.Close()
-	data := buf.Bytes()
+	data := encodeV1(ins)
 
 	loop := NewLoop(func() (cpu.Stream, error) {
-		return NewReader(bytes.NewReader(data))
+		return Open(bytes.NewReader(data))
 	})
 	var addrs []uint64
 	for i := 0; i < 12; i++ {
@@ -205,13 +209,11 @@ func TestLoopRestartsStream(t *testing.T) {
 // TestLoopStopsOnDecodeError: a corrupt trace must terminate the loop
 // with its decode error, not replay the valid prefix forever.
 func TestLoopStopsOnDecodeError(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var ins []cpu.Instr
 	for i := 0; i < 3; i++ {
-		w.Append(cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
+		ins = append(ins, cpu.Instr{Kind: cpu.Load, VAddr: uint64(i) * 64, Obj: 1})
 	}
-	w.Close()
-	data := buf.Bytes()
+	data := encodeV1(ins)
 	// Corrupt the end marker into an unknown opcode: the valid prefix
 	// still decodes, then the stream errors instead of ending cleanly.
 	data[len(data)-1] = 200
@@ -219,7 +221,7 @@ func TestLoopStopsOnDecodeError(t *testing.T) {
 	opens := 0
 	loop := NewLoop(func() (cpu.Stream, error) {
 		opens++
-		return NewReader(bytes.NewReader(data))
+		return Open(bytes.NewReader(data))
 	})
 	var n int
 	for {
@@ -249,15 +251,14 @@ func TestLoopStopsOnDecodeError(t *testing.T) {
 // TestLoopStopsOnTruncation: a trace cut off mid-record terminates the
 // loop with an error rather than restarting.
 func TestLoopStopsOnTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Append(cpu.Instr{Kind: cpu.Load, VAddr: 0x1234_5678, Obj: 7})
-	w.Append(cpu.Instr{Kind: cpu.Load, VAddr: 0x9abc_def0, Obj: 9})
-	w.Close()
-	data := buf.Bytes()[:buf.Len()-3] // cut into the last record's varints
+	data := encodeV1([]cpu.Instr{
+		{Kind: cpu.Load, VAddr: 0x1234_5678, Obj: 7},
+		{Kind: cpu.Load, VAddr: 0x9abc_def0, Obj: 9},
+	})
+	data = data[:len(data)-3] // cut into the last record's varints
 
 	loop := NewLoop(func() (cpu.Stream, error) {
-		return NewReader(bytes.NewReader(data))
+		return Open(bytes.NewReader(data))
 	})
 	for i := 0; ; i++ {
 		if _, ok := loop.Next(); !ok {
@@ -307,20 +308,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 				lastWasLoad = false
 			}
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for _, in := range ins {
-			if w.Append(in) != nil {
-				return false
-			}
-		}
-		if w.Close() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
+		r, err := Open(bytes.NewReader(encodeV1(ins)))
 		if err != nil {
 			return false
 		}
@@ -335,5 +323,68 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestV1Fixture pins v1 compatibility on a file the last v1 writer
+// produced (`moca-trace record -app mcf -items 50000 -format v1`): it
+// decodes to the mcf generator's stream, encodeV1 reproduces it byte for
+// byte, and its v2 conversion decodes to the identical items.
+func TestV1Fixture(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/mcf-50k.v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := openV1(t, fixture)
+	var items []cpu.Instr
+	for {
+		in, ok := r.Next()
+		if !ok {
+			break
+		}
+		items = append(items, in)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 50_000 {
+		t.Fatalf("fixture decodes to %d items, want 50000", len(items))
+	}
+
+	spec, _ := workload.ByName("mcf")
+	app, err := workload.Instantiate(spec.ForInput(workload.Ref), heap.New(heap.Config{}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := app.Stream()
+	for i, got := range items {
+		want, _ := fresh.Next()
+		if want.Kind == cpu.Compute && want.N < 1 {
+			want.N = 1
+		}
+		if got != want {
+			t.Fatalf("item %d: fixture %+v, generator %+v", i, got, want)
+		}
+	}
+
+	if enc := encodeV1(items); !bytes.Equal(enc, fixture) {
+		t.Fatalf("encodeV1 gives %d bytes, not the fixture's %d", len(enc), len(fixture))
+	}
+
+	var v2 bytes.Buffer
+	w, _ := NewBlockWriter(&v2)
+	if n, err := Copy(w, openV1(t, fixture)); err != nil || n != uint64(len(items)) {
+		t.Fatalf("convert: %d items, %v", n, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBlockReader(bytes.NewReader(v2.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameItems(t, drain(t, br), items, "v2 conversion of the v1 fixture")
+	if err := br.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

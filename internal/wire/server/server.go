@@ -606,7 +606,7 @@ func (c *conn) submit(sub wire.Submit) error {
 	// drain window expires the server cancels stragglers instead of
 	// leaking them behind force-closed connections.
 	jctx, cancel := context.WithCancel(c.srv.hardContext())
-	j := &job{id: sub.ID, memoKey: def.Name + "|" + key, cancel: cancel, state: wire.StateRunning}
+	j := &job{id: sub.ID, memoKey: exp.MemoKey(def, key), cancel: cancel, state: wire.StateRunning}
 	c.register(j)
 	c.mu.Unlock()
 

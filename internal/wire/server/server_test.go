@@ -161,8 +161,11 @@ func TestCancelSoleClientStopsRun(t *testing.T) {
 	}
 
 	// Watch the hub directly: ticks prove the simulation is advancing.
-	memoKey := "homogen-ddr3|single/mcf"
-	ticks, unsubscribe := srv.hub.subscribe(memoKey)
+	ddr3, err := exp.SystemByName("ddr3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks, unsubscribe := srv.hub.subscribe(exp.MemoKey(ddr3, "single/mcf"))
 	defer unsubscribe()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -335,5 +338,50 @@ func TestGracefulDrain(t *testing.T) {
 	// Draining servers refuse new work.
 	if _, err := net.Dial("tcp", ln.Addr().String()); err == nil {
 		t.Error("listener still accepting after drain")
+	}
+}
+
+// TestCapacityConfigsServedSeparately: moca and moca@config2 resolve to
+// systems that share the name "moca". Submitted one after the other on
+// one runner, the config2 RESULT must be a config2 run — the same bytes as
+// a local config2 run — not the memoized config1 result.
+func TestCapacityConfigsServedSeparately(t *testing.T) {
+	_, addr := startServer(t, Config{DrainTimeout: 5 * time.Second})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var raws [][]byte
+	for _, system := range []string{"moca", "moca@config2"} {
+		sub := testSubmit(0)
+		sub.System = system
+		_, j, err := c.Run(context.Background(), sub, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", system, err)
+		}
+		raws = append(raws, j.Raw)
+	}
+	if bytes.Equal(raws[0], raws[1]) {
+		t.Fatal("moca@config2 was served the moca (config1) result")
+	}
+
+	local := exp.NewRunner()
+	local.Measure = testMeasure
+	local.FW.ProfileWindow = testWindow
+	def, err := exp.SystemByName("moca@config2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := local.RunSingle(def, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raws[1], want) {
+		t.Error("served moca@config2 result differs from a local config2 run")
 	}
 }

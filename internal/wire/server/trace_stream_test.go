@@ -3,12 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"moca/internal/cpu"
 	"moca/internal/exp"
 	"moca/internal/heap"
 	"moca/internal/sim"
@@ -244,5 +248,74 @@ func TestTraceSessionBusy(t *testing.T) {
 		if !errors.As(err, &re) || re.Code != wire.CodeBadReq {
 			t.Fatalf("mismatched attach: %v, want a refusal", err)
 		}
+	}
+}
+
+// lzEraFrame hand-builds a block frame of 16 compute items the way an
+// older writer framed it: method 1 with its 6-byte LZ payload, or method
+// 0 with a stored length (compLen) that differs from the raw length.
+func lzEraFrame(method byte, compLen uint64) []byte {
+	raw := bytes.Repeat([]byte{0, 5}, 16) // opCompute, N=5
+	payload := raw
+	if method == 1 {
+		payload = []byte{2, 0, 5, 2, 26, 0}
+	}
+	f := []byte{0xB2}
+	f = binary.AppendUvarint(f, 0)
+	f = binary.AppendUvarint(f, 16)
+	f = binary.AppendUvarint(f, uint64(len(raw)))
+	f = binary.AppendUvarint(f, compLen)
+	f = append(f, method)
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(raw, crc32.MakeTable(crc32.Castagnoli)))
+	return append(f, payload...)
+}
+
+// TestTraceSessionRejectsLZEraBlocks: a trace session refuses a method-1
+// (LZ) block and a block whose stored length differs from its raw length
+// with a CodeTrace error naming the corrupt block, acknowledges nothing,
+// and still accepts a valid block from the same position afterwards.
+func TestTraceSessionRejectsLZEraBlocks(t *testing.T) {
+	_, addr := startServer(t, Config{DrainTimeout: 5 * time.Second, TraceIdleTimeout: time.Minute})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := traceStartSpec()
+	spec.Session = "lz-era"
+	j, _, err := c.TraceStart(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range [][]byte{lzEraFrame(1, 6), lzEraFrame(0, 31)} {
+		_, err := c.PushTraceBlock(j, uint64(9+len(frame)), frame)
+		var re *client.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeTrace || !strings.Contains(re.Msg, trace.ErrCorrupt.Error()) {
+			t.Fatalf("LZ-era block: %v, want a %s error carrying %q", err, wire.CodeTrace, trace.ErrCorrupt)
+		}
+	}
+
+	var buf bytes.Buffer
+	w, err := trace.NewBlockWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		w.Append(cpu.Instr{Kind: cpu.Compute, N: 5})
+	}
+	w.Close()
+	sc, err := trace.NewBlockScanner(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sc.Scan() {
+		t.Fatal(sc.Err())
+	}
+	pos, err := c.PushTraceBlock(j, sc.NextPos().ByteOff, sc.Frame())
+	if err != nil {
+		t.Fatalf("valid block after the rejected ones: %v", err)
+	}
+	if pos.Seq != 16 {
+		t.Fatalf("acked %+v, want seq 16", pos)
 	}
 }

@@ -108,37 +108,14 @@ func MixByName(name string) (Mix, bool) { return workload.MixByName(name) }
 // related figures (for example 10 through 13) share their runs.
 func NewExperiments() *Experiments { return exp.NewRunner() }
 
-// RecordTrace instantiates the application (with the given input and
-// optional MOCA classification) and records n instructions of its stream
-// to w. Replay the trace with OpenTrace and ProcSpec.Stream, passing the
-// same App, Input, and Classes so the heap layout matches the recorded
-// addresses.
-func RecordTrace(w io.Writer, app AppSpec, input Input, classes ClassMap, n uint64) (uint64, error) {
-	allocator := heap.New(heap.Config{Classes: classes})
-	inst, err := workload.Instantiate(app.ForInput(input), allocator, 0)
-	if err != nil {
-		return 0, err
-	}
-	tw, err := trace.NewWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	recorded, err := trace.Record(tw, inst.Stream(), n)
-	if err != nil {
-		return recorded, err
-	}
-	return recorded, tw.Close()
-}
-
-// OpenTrace opens a recorded v1 trace for replay as an InstructionStream.
-// Prefer OpenTraceStream, which accepts either format.
-func OpenTrace(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
-
-// RecordTraceV2 is RecordTrace in the v2 block format: framed,
-// per-block-compressed, and seekable, so replay can stream a corpus
-// larger than RAM and resume from any block boundary (see
-// OpenTraceStreamAt). items and rawBytes bound each block (zero selects
-// the defaults, 16Ki items or 256 KiB raw).
+// RecordTraceV2 instantiates the application (with the given input and
+// optional MOCA classification) and records n items of its instruction
+// stream to w in the v2 block format: framed, checksummed and seekable,
+// so replay can stream a corpus larger than RAM and resume from any block
+// boundary (see OpenTraceStreamAt). items and rawBytes bound each block
+// (zero selects the defaults, 16Ki items or 256 KiB raw). Replay the
+// trace with OpenTraceStream and ProcSpec.Stream, passing the same App,
+// Input, and Classes so the heap layout matches the recorded addresses.
 func RecordTraceV2(w io.Writer, app AppSpec, input Input, classes ClassMap, n uint64, items, rawBytes int) (uint64, error) {
 	allocator := heap.New(heap.Config{Classes: classes})
 	inst, err := workload.Instantiate(app.ForInput(input), allocator, 0)
@@ -156,8 +133,9 @@ func RecordTraceV2(w io.Writer, app AppSpec, input Input, classes ClassMap, n ui
 	return recorded, tw.Close()
 }
 
-// OpenTraceStream opens a recorded trace of either format for replay,
-// dispatching on the file header's version byte.
+// OpenTraceStream opens a recorded trace for replay: a v2 trace, or a v1
+// trace from an older writer, dispatching on the file header's version
+// byte.
 func OpenTraceStream(r io.Reader) (TraceStream, error) { return trace.Open(r) }
 
 // OpenTraceStreamAt opens a v2 trace at a position previously captured

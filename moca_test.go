@@ -157,7 +157,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	var buf bytes.Buffer
 	// Stream items cover at least warmup+measure retired instructions
 	// (compute batches expand to many instructions each).
-	if _, err := moca.RecordTrace(&buf, app, moca.Ref, nil, 120_000); err != nil {
+	if _, err := moca.RecordTraceV2(&buf, app, moca.Ref, nil, 120_000, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,7 +176,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		return res
 	}
 
-	tr, err := moca.OpenTrace(bytes.NewReader(buf.Bytes()))
+	tr, err := moca.OpenTraceStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,16 +188,11 @@ type (
 	Instruction = cpu.Instr
 	// InstructionStream feeds a simulated core.
 	InstructionStream = cpu.Stream
-	// TraceWriter records an instruction stream to a compact binary
-	// trace.
-	TraceWriter = trace.Writer
-	// TraceReader replays a recorded trace as an InstructionStream.
-	TraceReader = trace.Reader
 	// TraceStream replays a trace of either format; Err distinguishes
 	// clean end-of-trace from a decode fault.
 	TraceStream = trace.ReplayStream
-	// TraceBlockWriter records the v2 block format: framed, per-block
-	// compressed, seekable.
+	// TraceBlockWriter records the v2 block format: framed, checksummed,
+	// seekable.
 	TraceBlockWriter = trace.BlockWriter
 	// TraceBlockReader replays a v2 trace; it refills the core's batch
 	// buffer straight from its decoded block arena.
