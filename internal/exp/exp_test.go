@@ -187,6 +187,23 @@ func TestFig8And9SingleCoreShapes(t *testing.T) {
 	if f9.ColMean(SysRL) <= f9.ColMean(SysDDR3) {
 		t.Errorf("Homogen-RL EDP %.3f not worse than DDR3 %.3f", f9.ColMean(SysRL), f9.ColMean(SysDDR3))
 	}
+	// The disparity case study: MOCA gives RLDRAM to the latency-sensitive
+	// disparity map where Heter-App's first-faulting image buffer claims
+	// it, so MOCA's access time relative to Heter-App's drops further on
+	// disparity than on any latency-insensitive (bandwidth-sensitive) app.
+	// At this scale disparity measures 0.52 (0.317 vs 0.605); the B apps
+	// sit at 0.92-1.03. The non-intensive apps are not compared: Heter-App
+	// parks them whole on LPDDR2, so sift and stitch gain slightly more.
+	vsApp := func(app string) float64 { return f8.Get(app, SysMOCA) / f8.Get(app, SysHeterApp) }
+	disparity := vsApp("disparity")
+	for app, class := range Table3Expected() {
+		if class != classify.BandwidthSensitive {
+			continue
+		}
+		if r := vsApp(app); disparity >= r {
+			t.Errorf("MOCA/Heter-App access time on disparity %.3f not below %s's %.3f\n%s", disparity, app, r, f8.Table())
+		}
+	}
 }
 
 func TestAblationNamingDepth(t *testing.T) {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -67,13 +69,17 @@ func goldenFrom(res *Result) goldenRecord {
 }
 
 // goldenCase is one reference run: a configuration, one process per core,
-// and an explicit warm-up and measured window.
+// and an explicit warm-up and measured window. traced cases also pin the
+// SHA-256 of their run trace (testdata/golden/<name>.trace.sha256), so a
+// changed same-timestamp event order fails even where every aggregate
+// counter agrees.
 type goldenCase struct {
 	name    string
 	cfg     Config
 	procs   []ProcSpec
 	warmup  uint64
 	measure uint64
+	traced  bool
 }
 
 // goldenCases are the reference configurations: the simplest homogeneous
@@ -141,6 +147,7 @@ func goldenCases(t testing.TB) []goldenCase {
 				ref(workload.Disparity()), ref(workload.MCF()),
 			},
 			measure: 2500,
+			traced:  true,
 		},
 		{
 			name: "heterapp-config1-4core",
@@ -153,6 +160,7 @@ func goldenCases(t testing.TB) []goldenCase {
 			},
 			warmup:  1000,
 			measure: 2500,
+			traced:  true,
 		},
 		{
 			name: "heterapp-config2-2core-smalll2",
@@ -168,6 +176,7 @@ func goldenCases(t testing.TB) []goldenCase {
 			cfg:     shortEpoch(DefaultConfig("migrate", Heterogeneous(Config1), PolicyMigrate)),
 			procs:   []ProcSpec{ref(workload.GCC()), ref(workload.Libquantum())},
 			measure: 3000,
+			traced:  true,
 		},
 	}
 }
@@ -182,6 +191,9 @@ func TestGoldenRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Obs.Metrics = true
+			if tc.traced {
+				cfg.Obs.Trace = obs.NewTrace(0)
+			}
 			sys, err := New(cfg, tc.procs)
 			if err != nil {
 				t.Fatal(err)
@@ -192,19 +204,16 @@ func TestGoldenRuns(t *testing.T) {
 			}
 			got := goldenFrom(res)
 			path := filepath.Join("testdata", "golden", tc.name+".json")
+			if tc.traced {
+				checkTraceDigest(t, cfg.Obs.Trace, filepath.Join("testdata", "golden", tc.name+".trace.sha256"))
+			}
 
 			if *update {
 				data, err := json.MarshalIndent(got, "", "  ")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
+				writeGolden(t, path, append(data, '\n'))
 				return
 			}
 
@@ -218,6 +227,43 @@ func TestGoldenRuns(t *testing.T) {
 			}
 			compareGolden(t, got, want)
 		})
+	}
+}
+
+// writeGolden rewrites one golden file (the -update path).
+func writeGolden(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", path)
+}
+
+// checkTraceDigest compares the SHA-256 of tr's JSON-lines encoding (the
+// bytes moca-sim -trace-out writes) against the hex digest stored at path.
+func checkTraceDigest(t *testing.T, tr *obs.Trace, path string) {
+	t.Helper()
+	if tr.Len() == 0 {
+		t.Fatal("run trace is empty: the digest would pin nothing")
+	}
+	h := sha256.New()
+	if err := tr.WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if *update {
+		writeGolden(t, path, []byte(got+"\n"))
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if want := string(bytes.TrimSpace(data)); got != want {
+		t.Errorf("run trace digest: got %s, want %s (%d events, %d dropped)", got, want, tr.Len(), tr.Dropped())
 	}
 }
 

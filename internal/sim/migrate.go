@@ -12,7 +12,7 @@ import (
 )
 
 // setupMigration attaches the hot-page migration engine (the Section IV-E
-// baseline) to the system: an access monitor on the memory router and a
+// baseline) to the system: an access monitor on every channel shard and a
 // recurring epoch event that promotes hot pages, charging copy traffic on
 // both channels and cache shootdowns for moved pages.
 func (s *System) setupMigration(cfg Config, infos []alloc.ModuleInfo) error {
@@ -35,7 +35,9 @@ func (s *System) setupMigration(cfg Config, infos []alloc.ModuleInfo) error {
 		return err
 	}
 	s.migrator = mig
-	s.route.onAccess = mig.RecordAccess
+	for _, cs := range s.chans {
+		cs.monitor = mig
+	}
 
 	epoch := cfg.MigrationEpoch
 	if epoch <= 0 {

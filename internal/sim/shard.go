@@ -5,12 +5,14 @@ package sim
 // The system is partitioned into shards that each own a private event
 // queue: one shard per core (cpu, L1/L2, private TLB state) and one per
 // memory channel (controller + banks). Time advances in fixed windows of
-// windowCycles CPU cycles, and each window runs four phases in order on
-// one goroutine: (A) channel shards, (B) completed fills posted into core
-// queues, (C) core shards in lockstep, (D) the coordinator queue and the
-// barrier merge. All cross-shard traffic is staged as timestamped messages
-// and exchanged only at the window boundary, merged in a fixed order
-// (at, source shard, per-source sequence).
+// windowCycles CPU cycles, and each window runs three phases in order on
+// one goroutine: (A) channel shards, (B) core shards in lockstep, (C) the
+// coordinator queue (migration epochs and copy pacing). Every cross-shard
+// message is posted straight into its destination queue when it is staged;
+// queues break timestamp ties by post order, and the phase order fixes
+// that order: channels complete fills in channel order, cores stage
+// submissions in ascending core order within each lockstep cycle, and the
+// migration engine stages after every core.
 //
 // Every core->channel submission traverses a link with a fixed latency of
 // one window, so a message staged at local time t carries effect time
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 
+	"moca/internal/alloc"
 	"moca/internal/event"
 	"moca/internal/mem"
 	"moca/internal/obs"
@@ -42,18 +45,15 @@ const windowCycles = 8
 const chanRetryGap = 8
 
 // linkMsg is one submission crossing from a core (or the migration engine)
-// to a memory channel at a window barrier.
+// to a memory channel.
 type linkMsg struct {
-	at    event.Time // effect time: staging time + one window
-	line  uint64     // global physical line address (migration monitor)
-	local uint64     // channel-local address
+	line  uint64 // global physical line address (migration monitor)
+	local uint64 // channel-local address
 	write bool
 	sink  bool // deliver the completion back to the owning core
 	core  int
 	obj   uint64
 	token uint64
-	src   int    // source shard: core index, len(cores) for migration
-	seq   uint64 // per-source staging order
 }
 
 // shardLink is the cache.Backend a core shard submits misses, writebacks,
@@ -61,35 +61,25 @@ type linkMsg struct {
 // backpressure: rejection and retry live channel-side, after the message
 // has paid the link latency.
 type shardLink struct {
-	q      *event.Queue
-	route  *router
-	delay  event.Time
-	src    int
-	seq    uint64
-	staged int         // messages staged since the last barrier merge
-	out    [][]linkMsg // staged messages, per channel
+	q     *event.Queue // the submitting shard's queue (staging time)
+	route *router
+	chans []*chanShard
+	delay event.Time
 }
 
-// Submit implements cache.Backend. The concrete sink is dropped: a
-// completion is routed back to msg.core's hierarchy by the channel shard.
+// Submit implements cache.Backend: the message is posted into its channel's
+// queue one link latency after the staging time. The concrete sink is
+// dropped: a completion is routed back to msg.core's hierarchy by the
+// channel shard.
 func (l *shardLink) Submit(lineAddr uint64, write bool, core int, obj uint64, sink mem.DoneSink, token uint64) bool {
 	ch, local := l.route.locate(lineAddr)
-	l.out[ch] = append(l.out[ch], linkMsg{
-		at: l.q.Now() + l.delay, line: lineAddr, local: local,
+	cs := l.chans[ch]
+	cs.inbox = append(cs.inbox, linkMsg{
+		line: lineAddr, local: local,
 		write: write, sink: sink != nil, core: core, obj: obj, token: token,
-		src: l.src, seq: l.seq,
 	})
-	l.seq++
-	l.staged++
+	cs.q.Post(l.q.Now()+l.delay, cs, chopDeliver, int64(len(cs.inbox)-1), nil)
 	return true
-}
-
-// fillMsg is one completed memory request waiting to be delivered into its
-// core's queue at the next barrier.
-type fillMsg struct {
-	at    event.Time
-	core  int
-	token uint64
 }
 
 // Channel-shard event opcodes.
@@ -99,23 +89,22 @@ const (
 )
 
 // chanShard owns one memory controller and its private event queue. It
-// applies barrier-merged submissions at their exact effect times, holds
-// rejected ones in an arrival-ordered pending queue with paced retries,
-// and stages completions for the coordinator to post back to core queues.
+// applies link submissions at their exact effect times, holds rejected
+// ones in an arrival-ordered pending queue with paced retries, and
+// completes requests straight into the owning core's queue.
 type chanShard struct {
-	idx   int
 	q     *event.Queue
 	ctrl  *mem.Controller
 	cycle event.Time
 
-	inbox      []linkMsg // this window's deliveries, indexed by chopDeliver i64
+	inbox      []linkMsg // deliveries in flight, indexed by chopDeliver i64
 	pending    []linkMsg // rejected submissions, retried in arrival order
 	pendHead   int
 	retryArmed bool
 
-	fills []fillMsg      // completions staged for the coordinator
-	sinks []mem.DoneSink // pre-boxed per-core completion sinks
-	bp    []uint64       // per-core rejected-submission counts
+	sinks   []mem.DoneSink  // per-core completion sinks (the core shards)
+	bp      []uint64        // per-core rejected-submission counts
+	monitor *alloc.Migrator // migration access monitor, nil unless PolicyMigrate
 
 	// reg and dropCtr count migration copies abandoned under controller
 	// backpressure (the best-effort path) in the mem.migration_copy_drops
@@ -124,27 +113,16 @@ type chanShard struct {
 	dropCtr *obs.Counter
 }
 
-// chanSink stages one core's completions on its channel shard.
-type chanSink struct {
-	cs   *chanShard
-	core int
-}
-
-// MemDone implements mem.DoneSink.
-func (s *chanSink) MemDone(token uint64, at event.Time) {
-	s.cs.fills = append(s.cs.fills, fillMsg{at: at, core: s.core, token: token})
-}
-
-func newChanShard(idx int, ctrlBuild func(q *event.Queue) (*mem.Controller, error), cores int, cycle event.Time) (*chanShard, error) {
-	cs := &chanShard{idx: idx, q: event.NewQueue(), cycle: cycle, bp: make([]uint64, cores)}
+// newChanShard builds the shard for one channel serving cores cores (the
+// channel index argument is unused). The core shards attach themselves as
+// its completion sinks once they exist.
+func newChanShard(_ int, ctrlBuild func(q *event.Queue) (*mem.Controller, error), cores int, cycle event.Time) (*chanShard, error) {
+	cs := &chanShard{q: event.NewQueue(), cycle: cycle, bp: make([]uint64, cores)}
 	ctrl, err := ctrlBuild(cs.q)
 	if err != nil {
 		return nil, err
 	}
 	cs.ctrl = ctrl
-	for c := 0; c < cores; c++ {
-		cs.sinks = append(cs.sinks, &chanSink{cs: cs, core: c})
-	}
 	return cs, nil
 }
 
@@ -160,6 +138,9 @@ func (cs *chanShard) OnEvent(now event.Time, op int32, i64 int64, _ any) {
 }
 
 func (cs *chanShard) deliver(now event.Time, m linkMsg) {
+	if cs.monitor != nil {
+		cs.monitor.RecordAccess(m.line)
+	}
 	if cs.pendHead < len(cs.pending) {
 		// Preserve per-channel arrival order behind earlier rejections.
 		cs.pending = append(cs.pending, m)
@@ -170,39 +151,16 @@ func (cs *chanShard) deliver(now event.Time, m linkMsg) {
 }
 
 func (cs *chanShard) try(now event.Time, m linkMsg) {
-	var sink mem.DoneSink
-	if m.sink {
-		sink = cs.sinks[m.core]
-	}
-	if cs.ctrl.EnqueueLine(m.local, m.write, m.core, m.obj, sink, m.token) {
+	if cs.enqueue(m) {
 		return
 	}
-	if m.core < 0 {
-		// Migration copy traffic is best-effort under backpressure.
-		cs.dropCopy()
-		return
-	}
-	cs.bp[m.core]++
 	cs.pending = append(cs.pending, m)
 	cs.armRetry(now)
 }
 
 func (cs *chanShard) drainPending(now event.Time) {
 	for cs.pendHead < len(cs.pending) {
-		m := cs.pending[cs.pendHead]
-		var sink mem.DoneSink
-		if m.sink {
-			sink = cs.sinks[m.core]
-		}
-		if !cs.ctrl.EnqueueLine(m.local, m.write, m.core, m.obj, sink, m.token) {
-			if m.core < 0 {
-				// Queued migration copies stay best-effort: drop instead
-				// of blocking demand traffic behind them.
-				cs.dropCopy()
-				cs.pendHead++
-				continue
-			}
-			cs.bp[m.core]++
+		if !cs.enqueue(cs.pending[cs.pendHead]) {
 			cs.armRetry(now)
 			return
 		}
@@ -210,6 +168,27 @@ func (cs *chanShard) drainPending(now event.Time) {
 	}
 	cs.pending = cs.pending[:0]
 	cs.pendHead = 0
+}
+
+// enqueue offers m to the controller. It reports false only for demand
+// traffic the controller rejected, counting the rejection against m.core;
+// the caller then holds m for a retry. A rejected migration copy is
+// best-effort: it is dropped instead of blocking demand traffic behind it,
+// and reported as handled.
+func (cs *chanShard) enqueue(m linkMsg) bool {
+	var sink mem.DoneSink
+	if m.sink {
+		sink = cs.sinks[m.core]
+	}
+	if cs.ctrl.EnqueueLine(m.local, m.write, m.core, m.obj, sink, m.token) {
+		return true
+	}
+	if m.core < 0 {
+		cs.dropCopy()
+		return true
+	}
+	cs.bp[m.core]++
+	return false
 }
 
 // dropCopy records one migration copy abandoned under backpressure. The
@@ -234,11 +213,19 @@ func (cs *chanShard) armRetry(now event.Time) {
 
 // Core-shard event opcodes (coreCtx is the handler).
 const (
-	copFill int32 = iota // i64 = token: a barrier-delivered memory completion
+	copFill int32 = iota // i64 = token: a memory completion from a channel shard
 )
 
-// OnEvent implements event.Handler: barrier-delivered completions enter
-// the hierarchy at their exact completion times.
+// MemDone implements mem.DoneSink for the channel shards: a completed
+// request is posted into the core's queue at its exact completion time.
+// Channel shards run their half of a window first, so that time is never
+// behind the core's clock.
+func (c *coreCtx) MemDone(token uint64, at event.Time) {
+	c.q.Post(at, c, copFill, int64(token), nil)
+}
+
+// OnEvent implements event.Handler: completions enter the hierarchy at
+// their exact completion times.
 func (c *coreCtx) OnEvent(now event.Time, op int32, i64 int64, _ any) {
 	if op == copFill {
 		c.hier.MemDone(uint64(i64), now)
@@ -288,22 +275,20 @@ func (s *System) runPhase(ctx context.Context, target uint64, onCross func(*core
 		}
 		windowEnd := s.simNow + s.window
 
-		// Phase A: channel shards run their half of the window.
+		// Phase A: channel shards run their half of the window, posting
+		// completions into core queues at exact times.
 		if err := s.runChannelPhase(windowEnd); err != nil {
 			return err
 		}
-		// Phase B: completed requests enter core queues at exact times.
-		s.distributeFills()
-		// Phase C: core shards run the window cycle by cycle.
+		// Phase B: core shards run the window cycle by cycle.
 		s.runCorePhase(windowEnd, target, onCross)
-		// Phase D: barrier. The coordinator queue (migration epochs and
-		// copy pacing) runs first so its staged traffic joins this merge.
+		// Phase C: the coordinator queue (migration epochs and copy
+		// pacing), whose copy traffic posts behind every core's.
 		if we := windowEnd - 1; s.q.QuietUntil(we) {
 			s.q.AdvanceTo(we)
 		} else {
 			s.q.RunUntil(we)
 		}
-		s.mergeCrossings()
 		for _, c := range s.cores {
 			if c.runErr != nil {
 				return c.runErr
@@ -361,8 +346,11 @@ func (s *System) ObsSnapshot() *obs.Snapshot {
 // runChannelPhase drains every channel shard's queue up to the window
 // horizon. Idle shards — empty queue, an idle controller by construction —
 // only advance their clocks, which is safe because every post into a
-// channel queue carries an absolute future time. A panic is recovered into
-// an error keyed to the shard that was running.
+// channel queue carries an absolute future time. Every message in a
+// shard's inbox was staged in the previous window and so has been
+// delivered by the end of its run: the inbox starts over for the messages
+// this window stages. A panic is recovered into an error keyed to the
+// shard that was running.
 func (s *System) runChannelPhase(windowEnd event.Time) (err error) {
 	cur := -1
 	defer func() {
@@ -380,6 +368,7 @@ func (s *System) runChannelPhase(windowEnd event.Time) (err error) {
 		} else {
 			cs.q.RunUntil(we)
 		}
+		cs.inbox = cs.inbox[:0]
 	}
 	return nil
 }
@@ -470,7 +459,8 @@ func (s *System) runCorePhase(windowEnd event.Time, target uint64, onCross func(
 		// not cycle-aligned, so fills can spawn hierarchy events that land
 		// between the last tick (windowEnd-cycle) and the window end. They
 		// belong to this window — running them now keeps every link
-		// submission's staging time inside the window that merges it.
+		// submission's staging time inside this window, so it is
+		// delivered in the next one.
 		cur = i
 		if we := windowEnd - 1; c.q.QuietUntil(we) {
 			c.q.AdvanceTo(we)
@@ -520,118 +510,6 @@ func (s *System) tryBatch(c *coreCtx, t, windowEnd event.Time, target uint64, on
 func (c *coreCtx) fail(s *System, i int, err error) {
 	c.runErr = fmt.Errorf("sim: %s core %d (%s): %w", s.cfg.Name, i, c.app.Spec.Name, err)
 	c.dead = true
-}
-
-// distributeFills posts every completion the channel shards staged into
-// the owning cores' queues, merged across channels by (at, channel, seq)
-// so insertion order — and therefore same-timestamp execution order — is
-// deterministic.
-func (s *System) distributeFills() {
-	total := 0
-	for _, cs := range s.chans {
-		total += len(cs.fills)
-	}
-	if total == 0 {
-		return
-	}
-	buf := s.fillScratch[:0]
-	for ci, cs := range s.chans {
-		for _, f := range cs.fills {
-			buf = append(buf, chanFill{fillMsg: f, ch: ci, seq: len(buf)})
-		}
-		cs.fills = cs.fills[:0]
-	}
-	// Insertion sort, like sortLinkMsgs: barrier batches are small and
-	// sort.Slice would allocate a closure every window.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && chanFillLess(buf[j], buf[j-1]); j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	for _, f := range buf {
-		c := s.cores[f.core]
-		c.q.Post(f.at, c, copFill, int64(f.token), nil)
-	}
-	s.fillScratch = buf[:0]
-}
-
-// chanFill tags a staged fill with its merge key.
-type chanFill struct {
-	fillMsg
-	ch  int
-	seq int
-}
-
-// chanFillLess orders staged fills by (at, channel, staging order).
-func chanFillLess(a, b chanFill) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.ch != b.ch {
-		return a.ch < b.ch
-	}
-	return a.seq < b.seq
-}
-
-// mergeCrossings applies every staged core->channel (and migration)
-// submission to its channel shard in (at, source shard, seq) order: the
-// window-merge contract the fuzz target locks down. The migration
-// monitor's access counter fires here too, in merged order.
-func (s *System) mergeCrossings() {
-	staged := 0
-	for _, l := range s.links {
-		staged += l.staged
-		l.staged = 0
-	}
-	if staged == 0 {
-		return // nothing crossed this window (common during long stalls)
-	}
-	for ci, cs := range s.chans {
-		m := mergeWindow(s.linkScratch[:0], s.links, ci)
-		s.linkScratch = m
-		cs.inbox = cs.inbox[:0]
-		for _, msg := range m {
-			if s.route.onAccess != nil {
-				s.route.onAccess(msg.line)
-			}
-			cs.inbox = append(cs.inbox, msg)
-			cs.q.Post(msg.at, cs, chopDeliver, int64(len(cs.inbox)-1), nil)
-		}
-	}
-}
-
-// mergeWindow collects channel ci's staged messages from every link,
-// clears the stages, and returns them sorted by (at, src, seq). The result
-// is a pure function of the per-link message sets, independent of the
-// order the links are listed in (FuzzWindowMerge).
-func mergeWindow(dst []linkMsg, links []*shardLink, ci int) []linkMsg {
-	for _, l := range links {
-		dst = append(dst, l.out[ci]...)
-		l.out[ci] = l.out[ci][:0]
-	}
-	sortLinkMsgs(dst)
-	return dst
-}
-
-// sortLinkMsgs orders messages by (at, src, seq). Insertion sort: window
-// batches are small (a handful of LLC misses), and this avoids the
-// per-call closure allocation of sort.Slice on a hot barrier path.
-func sortLinkMsgs(m []linkMsg) {
-	for i := 1; i < len(m); i++ {
-		for j := i; j > 0 && linkMsgLess(m[j], m[j-1]); j-- {
-			m[j], m[j-1] = m[j-1], m[j]
-		}
-	}
-}
-
-func linkMsgLess(a, b linkMsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
 }
 
 // bpFor sums core's channel-side rejected submissions across channels.

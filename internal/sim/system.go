@@ -24,9 +24,6 @@ type router struct {
 	base  []int    // per module: first global channel index
 	nchan []int    // per module: channel count
 	gran  []uint64 // per module: interleave granularity
-	// onAccess, if set, observes every merged request at the window
-	// barrier (the migration monitor's per-page access counter).
-	onAccess func(paddr uint64)
 }
 
 // locate resolves a line address to its global channel index and the
@@ -85,7 +82,6 @@ type System struct {
 
 	cores []*coreCtx
 	chans []*chanShard
-	links []*shardLink // per core, plus the migration link last
 
 	modules  []*vm.Module
 	os       *alloc.OS
@@ -102,9 +98,6 @@ type System struct {
 	runTrace    *obs.Trace
 	traceStages []*obs.Trace
 	coordTrace  *obs.Trace
-
-	linkScratch []linkMsg
-	fillScratch []chanFill
 
 	// Progress reporting (active only when cfg.Progress is set): base is
 	// the instruction credit from completed phases, total the whole run's
@@ -251,7 +244,7 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		if cfg.Obs.Enabled() {
 			cq.AttachObs(s.reg)
 		}
-		link := &shardLink{q: cq, route: s.route, delay: s.window, src: i, out: make([][]linkMsg, totalChannels)}
+		link := &shardLink{q: cq, route: s.route, chans: s.chans, delay: s.window}
 		hcfg := cache.HierarchyConfig{L1: cfg.CacheL1, L2: cfg.CacheL2, CPUCycle: cfg.Core.Cycle, Core: i, Prefetch: cfg.Prefetch}
 		hier, err := cache.NewHierarchy(cq, link, hcfg)
 		if err != nil {
@@ -280,13 +273,14 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 			hier.OnLoad = prof.OnLoad
 		}
 		s.cores = append(s.cores, ctx)
-		s.links = append(s.links, link)
+		for _, cs := range s.chans {
+			cs.sinks = append(cs.sinks, ctx)
+		}
 	}
 
-	// The migration engine's copy traffic crosses barriers like any core's
-	// demand traffic, through its own link on the coordinator queue.
-	s.migLink = &shardLink{q: s.q, route: s.route, delay: s.window, src: len(procs), out: make([][]linkMsg, totalChannels)}
-	s.links = append(s.links, s.migLink)
+	// The migration engine's copy traffic crosses to the channels like any
+	// core's demand traffic, through its own link on the coordinator queue.
+	s.migLink = &shardLink{q: s.q, route: s.route, chans: s.chans, delay: s.window}
 
 	if cfg.Policy == PolicyMigrate {
 		if err := s.setupMigration(cfg, infos); err != nil {
