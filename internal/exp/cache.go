@@ -180,41 +180,42 @@ func (c *RunCache) path(kind, key string) string {
 }
 
 // load returns the payload framed under (kind, key): a sub-slice of the
-// file, not a copy. A missing file is a miss; a file whose frame, salt or
-// key does not match is rejected. The caller counts the hit once its
-// payload decodes.
-func (c *RunCache) load(kind, key string) ([]byte, bool) {
+// file, not a copy, and the entry's path. A missing file is a miss; a
+// file whose frame, salt or key does not match is rejected. The caller
+// counts the hit once its payload decodes, and rejects the entry at path
+// if it does not.
+func (c *RunCache) load(kind, key string) (payload []byte, path string, ok bool) {
 	if c == nil {
-		return nil, false
+		return nil, "", false
 	}
-	path := c.path(kind, key)
+	path = c.path(kind, key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		c.misses.Add(1)
-		return nil, false
+		return nil, "", false
 	}
 	salt, rest, ok := bytes.Cut(data, newline)
 	if !ok || string(salt) != c.salt {
-		c.reject(kind, key)
-		return nil, false
+		c.reject(path)
+		return nil, "", false
 	}
 	k, payload, ok := bytes.Cut(rest, newline)
 	if !ok || string(k) != key {
-		c.reject(kind, key)
-		return nil, false
+		c.reject(path)
+		return nil, "", false
 	}
-	return payload, true
+	return payload, path, true
 }
 
 var newline = []byte{'\n'}
 
 // reject counts a miss on an unusable entry — corrupt (e.g. a partial
 // write from a pre-atomic tool), stale salt, legacy format or hash
-// mismatch — and, in read-write mode, evicts it so the slot can be
-// rewritten. Read mode leaves the file alone.
-func (c *RunCache) reject(kind, key string) {
+// mismatch — and, in read-write mode, evicts the entry at path so the
+// slot can be rewritten. Read mode leaves the file alone.
+func (c *RunCache) reject(path string) {
 	if c.writable() {
-		c.evict(c.path(kind, key))
+		c.evict(path)
 	}
 	c.misses.Add(1)
 }
@@ -237,7 +238,7 @@ func (c *RunCache) store(kind, key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("exp: writing cache entry: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := writeTemp(tmp, data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("exp: writing cache entry: %w", err)
@@ -267,6 +268,10 @@ func (c *RunCache) store(kind, key string, payload []byte) error {
 	return nil
 }
 
+// writeTemp writes a cache entry's bytes to its temp file. It is a seam
+// so tests can inject write failures such as a full disk (ENOSPC).
+var writeTemp = (*os.File).Write
+
 // syncDir fsyncs a directory so a completed rename inside it survives a
 // crash.
 func syncDir(dir string) error {
@@ -290,13 +295,13 @@ func (c *RunCache) evict(path string) {
 // LoadResult returns the cached simulation result for key, if present and
 // valid. An entry that fails to decode is rejected and reported as a miss.
 func (c *RunCache) LoadResult(key string) (*sim.Result, bool) {
-	payload, ok := c.load("result", key)
+	payload, path, ok := c.load("result", key)
 	if !ok {
 		return nil, false
 	}
 	res := new(sim.Result)
 	if err := res.UnmarshalJSON(payload); err != nil {
-		c.reject("result", key)
+		c.reject(path)
 		return nil, false
 	}
 	c.hits.Add(1)
@@ -318,13 +323,13 @@ func (c *RunCache) StoreResult(key string, res *sim.Result) error {
 // LoadProfile returns the cached offline profile for key, if present and
 // valid.
 func (c *RunCache) LoadProfile(key string) (profile.Profile, bool) {
-	payload, ok := c.load("profile", key)
+	payload, path, ok := c.load("profile", key)
 	if !ok {
 		return profile.Profile{}, false
 	}
 	pr, err := profile.Unmarshal(payload)
 	if err != nil {
-		c.reject("profile", key)
+		c.reject(path)
 		return profile.Profile{}, false
 	}
 	c.hits.Add(1)

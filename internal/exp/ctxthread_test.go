@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"moca/internal/core"
 )
 
 // stuckProfile installs a profiling flight for the app that never
@@ -15,7 +13,7 @@ func stuckProfile(r *Runner, app string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.instr == nil {
-		r.instr = make(map[string]core.Instrumentation)
+		r.instr = make(map[string]*appInstr)
 		r.iflight = make(map[string]*instrFlight)
 	}
 	r.iflight[app] = &instrFlight{done: make(chan struct{})}

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"moca/internal/cache"
 	"moca/internal/classify"
@@ -15,8 +17,12 @@ import (
 )
 
 // Cache keys content-address work by everything that determines its
-// outcome, serialized as canonical JSON (encoding/json sorts map keys, so
-// identical inputs always produce identical bytes). The simulator version
+// outcome, as canonical JSON (encoding/json sorts map keys, so identical
+// inputs always produce identical bytes). A result key is spliced from
+// separately encoded fragments by appendResultKey rather than marshalled
+// in one piece, so a Runner encodes each system config and each app's
+// process spec once and reuses the bytes across runs; the splice writes
+// exactly what json.Marshal writes for resultKey. The simulator version
 // salt is deliberately NOT part of the key: it is the first line of each
 // on-disk entry instead, so a salt bump lands on the same file and evicts
 // the stale entry rather than stranding it forever (see RunCache).
@@ -24,7 +30,8 @@ import (
 // resultKey is the canonical identity of one measured simulation: the
 // fully resolved system configuration (minus presentation-only fields),
 // the per-core process specs carrying the instrumentation fingerprint
-// (ClassMap + AppClass), and the windows.
+// (ClassMap + AppClass), and the windows. appendResultKey writes its
+// encoding; the key tests marshal it as the reference.
 type resultKey struct {
 	Kind    string         `json:"kind"` // "result"
 	Cfg     sim.Config     `json:"cfg"`
@@ -42,26 +49,64 @@ type resultKey struct {
 // shapes the run — modules, policy, chains, thresholds, scheduler knobs,
 // app specs, class maps, windows — is included.
 func ResultCacheKey(cfg sim.Config, procs []sim.ProcSpec, measure, profileWindow uint64) (string, error) {
-	kc := cfg
-	kc.Name = ""
-	kc.Obs = obs.Options{}
-	kps := make([]sim.ProcSpec, len(procs))
-	for i, p := range procs {
-		p.Stream = nil
-		kps[i] = p
-	}
-	data, err := json.Marshal(resultKey{
-		Kind:    "result",
-		Cfg:     kc,
-		Procs:   kps,
-		Measure: measure,
-		Window:  profileWindow,
-		Metrics: cfg.Obs.Metrics,
-	})
+	cfgKey, err := configKey(cfg)
 	if err != nil {
-		return "", fmt.Errorf("exp: serializing result cache key: %w", err)
+		return "", err
 	}
-	return string(data), nil
+	procKeys := make([][]byte, len(procs))
+	for i, p := range procs {
+		if procKeys[i], err = procKey(p); err != nil {
+			return "", err
+		}
+	}
+	return string(appendResultKey(nil, cfgKey, procKeys, measure, profileWindow, cfg.Obs.Metrics)), nil
+}
+
+// configKey encodes the resultKey.Cfg fragment of cfg's key.
+func configKey(cfg sim.Config) ([]byte, error) {
+	cfg.Name = ""
+	cfg.Obs = obs.Options{}
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("exp: serializing result cache key: %w", err)
+	}
+	return data, nil
+}
+
+// procKey encodes one element of the resultKey.Procs fragment.
+func procKey(p sim.ProcSpec) ([]byte, error) {
+	p.Stream = nil
+	data, err := json.Marshal(p)
+	if err != nil {
+		return nil, fmt.Errorf("exp: serializing result cache key: %w", err)
+	}
+	return data, nil
+}
+
+// appendResultKey appends the JSON encoding of a resultKey to b, given
+// the encodings of its Cfg (configKey) and of each of its Procs (procKey).
+func appendResultKey(b, cfgKey []byte, procKeys [][]byte, measure, profileWindow uint64, metrics bool) []byte {
+	n := len(cfgKey) + 128 // and field names, punctuation, two uint64s
+	for _, p := range procKeys {
+		n += len(p) + 1
+	}
+	b = slices.Grow(b, n)
+	b = append(b, `{"kind":"result","cfg":`...)
+	b = append(b, cfgKey...)
+	b = append(b, `,"procs":[`...)
+	for i, p := range procKeys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	b = append(b, `],"measure":`...)
+	b = strconv.AppendUint(b, measure, 10)
+	b = append(b, `,"profile_window":`...)
+	b = strconv.AppendUint(b, profileWindow, 10)
+	b = append(b, `,"metrics":`...)
+	b = strconv.AppendBool(b, metrics)
+	return append(b, '}')
 }
 
 // profileKey is the canonical identity of one offline profiling run: the

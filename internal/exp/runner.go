@@ -99,8 +99,18 @@ type flight struct {
 // instrFlight is the profiling pipeline's equivalent of flight.
 type instrFlight struct {
 	done chan struct{}
-	ins  core.Instrumentation
+	app  *appInstr
 	err  error
+}
+
+// appInstr is one app's instrumentation and, encoded on first use, its
+// ref-input process spec's result-key fragment (procKey): [0] under every
+// policy but MOCA, [1] under MOCA, the only policy whose ProcSpec carries
+// the class map. The fragments live and die with the instrumentation
+// they encode.
+type appInstr struct {
+	ins     core.Instrumentation
+	procKey [2][]byte // guarded by Runner.mu
 }
 
 // Runner executes simulations with caching (profiles and results are
@@ -141,10 +151,14 @@ type Runner struct {
 	OnProgress func(memoKey string, done, total uint64, snap func() *obs.Snapshot)
 
 	mu      sync.Mutex
-	instr   map[string]core.Instrumentation
+	instr   map[string]*appInstr
 	iflight map[string]*instrFlight
 	results map[string]*sim.Result
 	flights map[string]*flight
+	// cfgKeys holds each system's encoded result-key config fragment
+	// (configKey), keyed by appendSystemKey: the system part of the memo
+	// key, of which simulate's sim.Config is a pure function.
+	cfgKeys map[string][]byte
 
 	simulated, profiled, memoryHits, diskHits, profileDiskHits atomic.Uint64
 }
@@ -189,38 +203,49 @@ func (r *Runner) Instrument(appName string) (core.Instrumentation, error) {
 // profiling flight sat parked until the whole profile finished, because
 // Instrument only watched the runner-level context.
 func (r *Runner) InstrumentCtx(ctx context.Context, appName string) (core.Instrumentation, error) {
+	a, err := r.instrumentCtx(ctx, appName)
+	if err != nil {
+		return core.Instrumentation{}, err
+	}
+	return a.ins, nil
+}
+
+// instrumentCtx is InstrumentCtx returning the runner's shared entry for
+// the app.
+func (r *Runner) instrumentCtx(ctx context.Context, appName string) (*appInstr, error) {
 	r.mu.Lock()
 	if r.instr == nil {
-		r.instr = make(map[string]core.Instrumentation)
+		r.instr = make(map[string]*appInstr)
 		r.iflight = make(map[string]*instrFlight)
 	}
-	if ins, ok := r.instr[appName]; ok {
+	if a, ok := r.instr[appName]; ok {
 		r.mu.Unlock()
-		return ins, nil
+		return a, nil
 	}
 	if f, ok := r.iflight[appName]; ok {
 		r.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.ins, f.err
+			return f.app, f.err
 		case <-ctx.Done():
-			return core.Instrumentation{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	f := &instrFlight{done: make(chan struct{})}
 	r.iflight[appName] = f
 	r.mu.Unlock()
 
-	f.ins, f.err = r.instrument(appName)
+	ins, err := r.instrument(appName)
+	f.app, f.err = &appInstr{ins: ins}, err
 
 	r.mu.Lock()
 	if f.err == nil {
-		r.instr[appName] = f.ins
+		r.instr[appName] = f.app
 	}
 	delete(r.iflight, appName) // failed flights are retryable
 	r.mu.Unlock()
 	close(f.done)
-	return f.ins, f.err
+	return f.app, f.err
 }
 
 // instrument executes the profiling pipeline for one app, consulting the
@@ -396,24 +421,11 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 		}
 	}()
 
-	var procs []sim.ProcSpec
-	for _, app := range apps {
-		ins, err := r.InstrumentCtx(ctx, app)
-		if err != nil {
-			return nil, err
-		}
-		procs = append(procs, ins.Proc(def.Policy, workload.Ref))
+	cfg, procs, cacheKey, err := r.prepare(ctx, def, apps)
+	if err != nil {
+		return nil, err
 	}
-	cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
-	cfg.Chains = def.Chains
-	cfg.Obs = r.Obs
-
-	var cacheKey string
 	if r.Cache != nil {
-		cacheKey, err = ResultCacheKey(cfg, procs, r.Measure, r.FW.ProfileWindow)
-		if err != nil {
-			return nil, err
-		}
 		if cached, ok := r.Cache.LoadResult(cacheKey); ok {
 			cached.Name = def.Name // presentational; excluded from the key
 			r.diskHits.Add(1)
@@ -445,6 +457,66 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 	return res, nil
 }
 
+// prepare resolves def's run of apps to the config and process specs
+// simulate runs and, with a persistent cache, the run's RunCache key.
+func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg sim.Config, procs []sim.ProcSpec, cacheKey string, err error) {
+	ins := make([]*appInstr, len(apps))
+	procs = make([]sim.ProcSpec, len(apps))
+	for i, app := range apps {
+		if ins[i], err = r.instrumentCtx(ctx, app); err != nil {
+			return sim.Config{}, nil, "", err
+		}
+		procs[i] = ins[i].ins.Proc(def.Policy, workload.Ref)
+	}
+	cfg = sim.DefaultConfig(def.Name, def.Modules, def.Policy)
+	cfg.Chains = def.Chains
+	cfg.Obs = r.Obs
+	if r.Cache != nil {
+		cacheKey, err = r.resultCacheKey(def, cfg, procs, ins)
+	}
+	return cfg, procs, cacheKey, err
+}
+
+// resultCacheKey returns ResultCacheKey(cfg, procs, r.Measure,
+// r.FW.ProfileWindow) for prepare's run of def, where procs[i] is the
+// process spec of the app in ins[i]. It splices fragments this runner
+// encodes once, under r.mu: one per system (cfgKeys) and one per app and
+// MOCA-or-not (appInstr.procKey).
+func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) (string, error) {
+	var sysBuf [160]byte
+	sys := appendSystemKey(sysBuf[:0], def)
+	moca := 0
+	if def.Policy == sim.PolicyMOCA {
+		moca = 1
+	}
+	var procBuf [4][]byte
+	procKeys := procBuf[:0]
+	var err error
+	r.mu.Lock()
+	cfgKey, ok := r.cfgKeys[string(sys)]
+	if !ok {
+		if cfgKey, err = configKey(cfg); err != nil {
+			r.mu.Unlock()
+			return "", err
+		}
+		if r.cfgKeys == nil {
+			r.cfgKeys = make(map[string][]byte)
+		}
+		r.cfgKeys[string(sys)] = cfgKey
+	}
+	for i, a := range ins {
+		if a.procKey[moca] == nil {
+			if a.procKey[moca], err = procKey(procs[i]); err != nil {
+				r.mu.Unlock()
+				return "", err
+			}
+		}
+		procKeys = append(procKeys, a.procKey[moca])
+	}
+	r.mu.Unlock()
+	return string(appendResultKey(nil, cfgKey, procKeys, r.Measure, r.FW.ProfileWindow, cfg.Obs.Metrics)), nil
+}
+
 // MemoKey names one run of def in a Runner's memo, its Results and its
 // OnProgress ticks: "name|run|system", where run is "single/app" or
 // "mix/name" and system spells out the policy, the modules and any
@@ -462,7 +534,17 @@ func appendMemoKey(b []byte, def SystemDef, run string) []byte {
 	b = append(b, def.Name...)
 	b = append(b, '|')
 	b = append(b, run...)
-	b = append(b, "|policy="...)
+	b = append(b, '|')
+	return appendSystemKey(b, def)
+}
+
+// appendSystemKey appends MemoKey's system part to b. Every field of def
+// but Name is spelled out, so equal parts mean an equal simulated
+// sim.Config and equal configKey bytes: an empty chains map (no chains)
+// is told apart from a nil one (the paper defaults), and an empty chain
+// from a nil one (they simulate alike but encode as [] and null).
+func appendSystemKey(b []byte, def SystemDef) []byte {
+	b = append(b, "policy="...)
 	b = strconv.AppendInt(b, int64(def.Policy), 10)
 	for _, m := range def.Modules {
 		b = append(b, " kind="...)
@@ -471,6 +553,9 @@ func appendMemoKey(b []byte, def SystemDef, run string) []byte {
 		b = strconv.AppendUint(b, m.CapacityBytes, 10)
 		b = append(b, ",channels="...)
 		b = strconv.AppendInt(b, int64(m.Channels), 10)
+	}
+	if def.Chains != nil && len(def.Chains) == 0 {
+		b = append(b, " chains=none"...)
 	}
 	classes := make([]classify.Class, 0, len(def.Chains))
 	for c := range def.Chains {
@@ -481,6 +566,9 @@ func appendMemoKey(b []byte, def SystemDef, run string) []byte {
 		b = append(b, " chain"...)
 		b = strconv.AppendInt(b, int64(c), 10)
 		b = append(b, '=')
+		if def.Chains[c] == nil {
+			b = append(b, "nil"...)
+		}
 		for i, k := range def.Chains[c] {
 			if i > 0 {
 				b = append(b, ',')

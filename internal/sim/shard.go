@@ -113,10 +113,9 @@ type chanShard struct {
 	dropCtr *obs.Counter
 }
 
-// newChanShard builds the shard for one channel serving cores cores (the
-// channel index argument is unused). The core shards attach themselves as
-// its completion sinks once they exist.
-func newChanShard(_ int, ctrlBuild func(q *event.Queue) (*mem.Controller, error), cores int, cycle event.Time) (*chanShard, error) {
+// newChanShard builds the shard for one channel serving cores cores. The
+// core shards attach themselves as its completion sinks once they exist.
+func newChanShard(ctrlBuild func(q *event.Queue) (*mem.Controller, error), cores int, cycle event.Time) (*chanShard, error) {
 	cs := &chanShard{q: event.NewQueue(), cycle: cycle, bp: make([]uint64, cores)}
 	ctrl, err := ctrlBuild(cs.q)
 	if err != nil {

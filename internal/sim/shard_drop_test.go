@@ -14,7 +14,7 @@ import (
 func dropTestShard(t *testing.T, reg *obs.Registry) *chanShard {
 	t.Helper()
 	cycle := cpu.DefaultConfig().Cycle
-	cs, err := newChanShard(0, func(q *event.Queue) (*mem.Controller, error) {
+	cs, err := newChanShard(func(q *event.Queue) (*mem.Controller, error) {
 		return mem.NewController("drop-test", q, mem.ChannelConfig{
 			Device: mem.Preset(mem.DDR3), CapacityBytes: 1 << 20, MaxQueue: 1,
 		})

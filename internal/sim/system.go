@@ -178,7 +178,7 @@ func New(cfg Config, procs []ProcSpec) (*System, error) {
 		for ch := 0; ch < spec.Channels; ch++ {
 			name := fmt.Sprintf("%s-m%d-ch%d", spec.Kind, i, ch)
 			ci := len(s.chans)
-			cs, err := newChanShard(ci, func(q *event.Queue) (*mem.Controller, error) {
+			cs, err := newChanShard(func(q *event.Queue) (*mem.Controller, error) {
 				return mem.NewController(name, q, mem.ChannelConfig{
 					Device: dev, CapacityBytes: perChan, Scheduler: cfg.Scheduler,
 					RowPolicy: cfg.RowPolicy, BankStripe: cfg.BankStripe,
