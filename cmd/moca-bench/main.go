@@ -44,8 +44,7 @@ func run() (code int) {
 	traceOut := flag.String("trace-out", "", "write the structured run trace (JSON lines) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	cacheDir := flag.String("cache-dir", os.Getenv("MOCA_CACHE_DIR"), "persistent run-cache directory (default $MOCA_CACHE_DIR; empty = disabled)")
-	cacheMode := flag.String("cache", envOr("MOCA_CACHE", "write"), "persistent cache mode: off, read, or write (default $MOCA_CACHE or write)")
+	cacheFlags := cmdutil.RegisterCacheFlags("moca-bench")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: moca-bench [flags] [experiment ...]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s, all\n", strings.Join(names(), " "))
@@ -98,7 +97,7 @@ func run() (code int) {
 		// Flush from a defer so a failing or interrupted sweep still
 		// leaves its partial trace on disk.
 		defer func() {
-			if err := writeTrace(*traceOut, runTrace); err != nil {
+			if err := cmdutil.WriteTrace(*traceOut, runTrace); err != nil {
 				fmt.Fprintf(os.Stderr, "moca-bench: %v\n", err)
 				if code == 0 {
 					code = 1
@@ -111,25 +110,17 @@ func run() (code int) {
 	}
 	r.Obs = obs.Options{Metrics: *metrics, Trace: runTrace}
 
-	if *cacheDir != "" {
-		mode, err := exp.ParseCacheMode(*cacheMode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "moca-bench: %v\n", err)
-			return 2
-		}
-		cache, err := exp.OpenRunCache(*cacheDir, mode)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "moca-bench: %v\n", err)
-			return 1
-		}
-		r.Cache = cache
-		if cache != nil {
-			defer func() {
-				st := cache.Stats()
-				fmt.Printf("[cache %s (%s): %d hits, %d misses, %d written, %d evicted]\n",
-					cache.Dir(), cache.Mode(), st.Hits, st.Misses, st.Writes, st.Evictions)
-			}()
-		}
+	cache, status := cacheFlags.Open()
+	if status != 0 {
+		return status
+	}
+	r.Cache = cache
+	if cache != nil {
+		defer func() {
+			st := cache.Stats()
+			fmt.Printf("[cache %s (%s): %d hits, %d misses, %d written, %d evicted]\n",
+				cache.Dir(), cache.Mode(), st.Hits, st.Misses, st.Writes, st.Evictions)
+		}()
 	}
 
 	switch *format {
@@ -160,13 +151,6 @@ func run() (code int) {
 	return 0
 }
 
-func envOr(key, fallback string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return fallback
-}
-
 // printMetrics aggregates the cached runs' snapshots per system (counters
 // add, high-watermark gauges take the max) and prints one table each.
 func printMetrics(r *exp.Runner) {
@@ -188,18 +172,6 @@ func printMetrics(r *exp.Runner) {
 		fmt.Println(merged.Table(fmt.Sprintf("metrics: %s (aggregate over %d cached runs)",
 			name, len(bySystem[name]))).String())
 	}
-}
-
-func writeTrace(path string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func names() []string {

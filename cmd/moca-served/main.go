@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"moca/internal/cmdutil"
-	"moca/internal/exp"
 	"moca/internal/wire/server"
 )
 
@@ -36,8 +35,7 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:7654", "listen address")
 	measure := flag.Uint64("measure", 300_000, "default measured instructions per core (SUBMIT may override)")
 	window := flag.Uint64("profile-window", 300_000, "default profiling window (SUBMIT may override)")
-	cacheDir := flag.String("cache-dir", os.Getenv("MOCA_CACHE_DIR"), "persistent run-cache directory (default $MOCA_CACHE_DIR; empty = disabled)")
-	cacheMode := flag.String("cache", envOr("MOCA_CACHE", "write"), "persistent cache mode: off, read, or write (default $MOCA_CACHE or write)")
+	cacheFlags := cmdutil.RegisterCacheFlags("moca-served")
 	drain := flag.Duration("drain", time.Minute, "graceful-shutdown window for in-flight jobs")
 	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "idle-connection read timeout")
 	flag.Parse()
@@ -57,17 +55,11 @@ func run() int {
 		ReadTimeout:   *readTimeout,
 		Logf:          log.New(os.Stderr, "moca-served: ", log.LstdFlags).Printf,
 	}
-	if *cacheDir != "" {
-		mode, err := exp.ParseCacheMode(*cacheMode)
-		if err != nil {
-			return fail("%v", err)
-		}
-		cache, err := exp.OpenRunCache(*cacheDir, mode)
-		if err != nil {
-			return fail("%v", err)
-		}
-		cfg.Cache = cache
+	cache, status := cacheFlags.Open()
+	if status != 0 {
+		return status
 	}
+	cfg.Cache = cache
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -79,11 +71,4 @@ func run() int {
 	}
 	cfg.Logf("shut down cleanly")
 	return 0
-}
-
-func envOr(key, fallback string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return fallback
 }

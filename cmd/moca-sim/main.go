@@ -12,6 +12,10 @@
 // MOCA and Heter-App systems need per-application classification; by
 // default the offline profiling stage runs automatically. Pass -profiles
 // DIR to load <app>.profile.json files written by moca-profile instead.
+//
+// A local run goes through the same experiment runner (exp.Runner) as
+// moca-bench and moca-served, so with -cache-dir it reuses cached
+// profiles and results, and its output is byte-identical to a -remote run.
 package main
 
 import (
@@ -49,8 +53,7 @@ func run() (code int) {
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of tables")
 	metrics := flag.Bool("metrics", false, "collect runtime metrics and emit the snapshot (table + JSON)")
 	traceOut := flag.String("trace-out", "", "write the structured run trace (JSON lines) to this file")
-	cacheDir := flag.String("cache-dir", os.Getenv("MOCA_CACHE_DIR"), "persistent run-cache directory (default $MOCA_CACHE_DIR; empty = disabled)")
-	cacheMode := flag.String("cache", envOr("MOCA_CACHE", "write"), "persistent cache mode: off, read, or write (default $MOCA_CACHE or write)")
+	cacheFlags := cmdutil.RegisterCacheFlags("moca-sim")
 	remote := flag.String("remote", "", "run on a moca-served instance at this address instead of locally (host:port)")
 	flag.Parse()
 
@@ -65,12 +68,11 @@ func run() (code int) {
 	if (*appName == "") == (*mixName == "") {
 		return fail("exactly one of -app or -mix is required")
 	}
-	var apps []string
-	if *appName != "" {
-		apps = []string{*appName}
-	} else {
-		mix, ok := moca.MixByName(*mixName)
-		if !ok {
+	var mix moca.Mix
+	apps := []string{*appName}
+	if *mixName != "" {
+		var ok bool
+		if mix, ok = moca.MixByName(*mixName); !ok {
 			var names []string
 			for _, m := range moca.WorkloadMixes() {
 				names = append(names, m.Name)
@@ -96,17 +98,21 @@ func run() (code int) {
 		return 0
 	}
 
-	cfg, err := systemConfig(*system)
+	def, err := exp.SystemByName(*system)
 	if err != nil {
 		return fail("%v", err)
 	}
+	r := exp.NewRunner()
+	r.Measure = *measure
+	r.FW.ProfileWindow = *window
+	r.Ctx = ctx
 	var runTrace *moca.RunTrace
 	if *traceOut != "" {
 		runTrace = moca.NewRunTrace(0)
 		// Flush from a defer so a failing run still leaves its partial
 		// trace on disk.
 		defer func() {
-			if err := writeTrace(*traceOut, runTrace); err != nil {
+			if err := cmdutil.WriteTrace(*traceOut, runTrace); err != nil {
 				fmt.Fprintf(os.Stderr, "moca-sim: %v\n", err)
 				if code == 0 {
 					code = 1
@@ -117,57 +123,31 @@ func run() (code int) {
 				runTrace.Len(), *traceOut, runTrace.Dropped())
 		}()
 	}
-	cfg.Obs = moca.ObsOptions{Metrics: *metrics, Trace: runTrace}
-
-	var cache *exp.RunCache
-	if *cacheDir != "" {
-		mode, err := exp.ParseCacheMode(*cacheMode)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if cache, err = exp.OpenRunCache(*cacheDir, mode); err != nil {
-			return fail("%v", err)
-		}
+	r.Obs = moca.ObsOptions{Metrics: *metrics, Trace: runTrace}
+	cache, status := cacheFlags.Open()
+	if status != 0 {
+		return status
 	}
-
-	fw := moca.NewFramework()
-	fw.ProfileWindow = *window
-	var procs []moca.ProcSpec
-	for _, name := range apps {
-		spec, ok := moca.AppByName(name)
-		if !ok {
-			return fail("unknown application %q", name)
-		}
-		ins, err := instrument(fw, spec, *profiles)
-		if err != nil {
-			return fail("%v", err)
-		}
-		procs = append(procs, ins.Proc(cfg.Policy, moca.Ref))
-	}
-
-	var cacheKey string
-	if cache != nil {
-		if cacheKey, err = exp.ResultCacheKey(cfg, procs, *measure, fw.ProfileWindow); err != nil {
-			return fail("%v", err)
-		}
-	}
-	res, cached := cache.LoadResult(cacheKey)
-	if cached {
-		res.Name = cfg.Name
-		fmt.Fprintf(os.Stderr, "moca-sim: result loaded from cache %s\n", cache.Dir())
-	} else {
-		sys, err := moca.NewSystem(cfg, procs)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if res, err = sys.RunContext(ctx, sys.SuggestedWarmup(), *measure); err != nil {
-			return fail("%v", err)
-		}
-		if cache != nil {
-			if err := cache.StoreResult(cacheKey, res); err != nil {
+	r.Cache = cache
+	if *profiles != "" {
+		for _, app := range apps {
+			if err := useProfile(r, *profiles, app); err != nil {
 				return fail("%v", err)
 			}
 		}
+	}
+
+	var res *moca.Result
+	if *appName != "" {
+		res, err = r.RunSingle(def, *appName)
+	} else {
+		res, err = r.RunMix(def, mix)
+	}
+	if err != nil {
+		return fail("%v", err)
+	}
+	if r.Stats().DiskHits > 0 {
+		fmt.Fprintf(os.Stderr, "moca-sim: result loaded from cache %s\n", cache.Dir())
 	}
 	if *jsonOut {
 		err = reportJSON(res)
@@ -178,13 +158,6 @@ func run() (code int) {
 		return fail("%v", err)
 	}
 	return 0
-}
-
-func envOr(key, fallback string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return fallback
 }
 
 // runRemote submits the run to a moca-served instance and waits for its
@@ -219,18 +192,6 @@ func runRemote(ctx context.Context, addr, system, app, mix string, measure, wind
 		return nil, err
 	}
 	return res, nil
-}
-
-func writeTrace(path string, tr *moca.RunTrace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // jsonReport is the machine-readable result schema.
@@ -308,55 +269,18 @@ func reportJSON(res *moca.Result) error {
 	return nil
 }
 
-func systemConfig(name string) (moca.SystemConfig, error) {
-	base, cfgSel := name, moca.Config1
-	if i := strings.Index(name, "@"); i >= 0 {
-		base = name[:i]
-		switch name[i+1:] {
-		case "config1":
-			cfgSel = moca.Config1
-		case "config2":
-			cfgSel = moca.Config2
-		case "config3":
-			cfgSel = moca.Config3
-		default:
-			return moca.SystemConfig{}, fmt.Errorf("unknown capacity config %q", name[i+1:])
-		}
-	}
-	switch base {
-	case "ddr3":
-		return moca.DefaultSystem("homogen-ddr3", moca.Homogeneous(moca.DDR3), moca.PolicyFixed), nil
-	case "rl", "rldram":
-		return moca.DefaultSystem("homogen-rl", moca.Homogeneous(moca.RLDRAM), moca.PolicyFixed), nil
-	case "hbm":
-		return moca.DefaultSystem("homogen-hbm", moca.Homogeneous(moca.HBM), moca.PolicyFixed), nil
-	case "lp", "lpddr2":
-		return moca.DefaultSystem("homogen-lp", moca.Homogeneous(moca.LPDDR2), moca.PolicyFixed), nil
-	case "heter-app":
-		return moca.DefaultSystem("heter-app", moca.Heterogeneous(cfgSel), moca.PolicyAppLevel), nil
-	case "moca":
-		return moca.DefaultSystem("moca", moca.Heterogeneous(cfgSel), moca.PolicyMOCA), nil
-	case "migrate":
-		return moca.DefaultSystem("migrate", moca.Heterogeneous(cfgSel), moca.PolicyMigrate), nil
-	default:
-		return moca.SystemConfig{}, fmt.Errorf("unknown system %q", name)
-	}
-}
-
-func instrument(fw *moca.Framework, spec moca.AppSpec, dir string) (moca.Instrumentation, error) {
-	if dir == "" {
-		return fw.Instrument(spec)
-	}
-	path := filepath.Join(dir, spec.Name+".profile.json")
-	data, err := os.ReadFile(path)
+// useProfile loads dir/<app>.profile.json, written by moca-profile, as
+// app's instrumentation in r.
+func useProfile(r *exp.Runner, dir, app string) error {
+	data, err := os.ReadFile(filepath.Join(dir, app+".profile.json"))
 	if err != nil {
-		return moca.Instrumentation{}, fmt.Errorf("loading profile: %w (run moca-profile -o %s %s)", err, dir, spec.Name)
+		return fmt.Errorf("loading profile: %w (run moca-profile -o %s %s)", err, dir, app)
 	}
 	pr, err := profile.Unmarshal(data)
 	if err != nil {
-		return moca.Instrumentation{}, err
+		return err
 	}
-	return fw.InstrumentFromProfile(spec, pr), nil
+	return r.UseProfile(app, pr)
 }
 
 func report(res *moca.Result) error {

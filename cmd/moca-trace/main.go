@@ -35,6 +35,7 @@ import (
 
 	"moca"
 	"moca/internal/cpu"
+	"moca/internal/exp"
 	"moca/internal/trace"
 	"moca/internal/wire"
 	"moca/internal/wire/client"
@@ -69,7 +70,7 @@ func usage() {
   moca-trace inspect FILE
   moca-trace convert [-block-items N] [-block-bytes N] -o OUT IN
   moca-trace seek -seq N [-n K] FILE
-  moca-trace replay -app NAME [-system ddr3|rl|hbm|lp] [-measure N] [-skip N] [-json] [-loop] FILE
+  moca-trace replay -app NAME [-system NAME] [-measure N] [-skip N] [-json] [-loop] FILE
   moca-trace replay -app NAME -remote ADDR -session TOKEN [-system NAME] [-measure N] FILE`)
 	os.Exit(2)
 }
@@ -286,7 +287,7 @@ func seek(args []string) {
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	appName := fs.String("app", "", "application the trace was recorded from")
-	system := fs.String("system", "ddr3", "memory system (ddr3|rl|hbm|lp)")
+	system := fs.String("system", "ddr3", "memory system, named as for moca-sim (ddr3|rl|hbm|lp|heter-app|moca|migrate, optionally @config2/@config3)")
 	measure := fs.Uint64("measure", 200_000, "measured instructions")
 	skip := fs.Uint64("skip", 0, "stream items to skip before replaying")
 	asJSON := fs.Bool("json", false, "print the full result document as JSON")
@@ -305,12 +306,9 @@ func replay(args []string) {
 	if !ok {
 		fatal("unknown application %q", *appName)
 	}
-	kinds := map[string]moca.MemoryKind{
-		"ddr3": moca.DDR3, "rl": moca.RLDRAM, "hbm": moca.HBM, "lp": moca.LPDDR2,
-	}
-	kind, ok := kinds[*system]
-	if !ok {
-		fatal("unknown system %q", *system)
+	def, err := exp.SystemByName(*system)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	// The stream's Err() distinguishes a trace that is simply too short
@@ -355,11 +353,10 @@ func replay(args []string) {
 		}
 	}
 
-	// Use the canonical system name ("homogen-ddr3", ...) so a local
-	// replay's result is byte-identical to the same trace streamed to a
-	// moca-served instance (which resolves -system through the same
-	// naming).
-	cfg := moca.DefaultSystem("homogen-"+*system, moca.Homogeneous(kind), moca.PolicyFixed)
+	// A moca-served trace session resolves -system through the same
+	// table, so a local replay's result is byte-identical to the same
+	// trace streamed to a server.
+	cfg := moca.DefaultSystem(def.Name, def.Modules, def.Policy)
 	sys, err := moca.NewSystem(cfg, []moca.ProcSpec{{App: app, Input: moca.Ref, Stream: stream}})
 	if err != nil {
 		fatal("%v", err)

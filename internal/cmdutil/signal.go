@@ -1,5 +1,6 @@
 // Package cmdutil holds the small pieces the moca commands share: signal
-// handling with a force-exit escape hatch.
+// handling with a force-exit escape hatch, the run-cache flags and the
+// run-trace writer.
 package cmdutil
 
 import (

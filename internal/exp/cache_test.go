@@ -325,47 +325,64 @@ type sinkStream struct{}
 
 func (sinkStream) Next() (cpu.Instr, bool) { return cpu.Instr{}, false }
 
-// TestResultCacheKeyCanonical: the key is stable for identical inputs,
-// blind to presentation-only fields, and sensitive to everything that
+// TestResultCacheKeyCanonical: the key fragments are stable for identical
+// inputs and blind to presentation-only and non-data fields, and the key
+// appendResultKey splices from them is sensitive to everything that
 // shapes the run.
 func TestResultCacheKeyCanonical(t *testing.T) {
-	cfg := sim.DefaultConfig("A", sim.Homogeneous(mem.DDR3), sim.PolicyFixed)
-	procs := []sim.ProcSpec{{App: workload.MCF(), Input: workload.Ref}}
-	base, err := ResultCacheKey(cfg, procs, 100, 200)
-	if err != nil {
-		t.Fatal(err)
+	cfgKey := func(cfg sim.Config) string {
+		t.Helper()
+		k, err := configKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(k)
 	}
-	if again, _ := ResultCacheKey(cfg, procs, 100, 200); again != base {
+	pKey := func(p sim.ProcSpec) string {
+		t.Helper()
+		k, err := procKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(k)
+	}
+	proc := sim.ProcSpec{App: workload.MCF(), Input: workload.Ref}
+	key := func(cfg sim.Config, measure, window uint64) string {
+		return string(appendResultKey(nil, []byte(cfgKey(cfg)), [][]byte{[]byte(pKey(proc))}, measure, window, cfg.Obs.Metrics))
+	}
+	cfg := sim.DefaultConfig("A", sim.Homogeneous(mem.DDR3), sim.PolicyFixed)
+	base := key(cfg, 100, 200)
+	if key(cfg, 100, 200) != base {
 		t.Error("identical inputs produced different keys")
 	}
 
 	renamed := cfg
 	renamed.Name = "B"
-	if k, _ := ResultCacheKey(renamed, procs, 100, 200); k != base {
+	if cfgKey(renamed) != cfgKey(cfg) {
 		t.Error("Config.Name leaked into the key")
 	}
 
-	streamed := []sim.ProcSpec{procs[0]}
-	streamed[0].Stream = sinkStream{}
-	if k, _ := ResultCacheKey(cfg, streamed, 100, 200); k != base {
+	streamed := proc
+	streamed.Stream = sinkStream{}
+	if pKey(streamed) != pKey(proc) {
 		t.Error("ProcSpec.Stream leaked into the key")
 	}
-	if procs[0].Stream != nil {
-		t.Error("ResultCacheKey mutated its input procs")
+	if streamed.Stream == nil {
+		t.Error("procKey mutated its input spec")
 	}
 
-	if k, _ := ResultCacheKey(cfg, procs, 101, 200); k == base {
+	if key(cfg, 101, 200) == base {
 		t.Error("Measure does not affect the key")
 	}
-	if k, _ := ResultCacheKey(cfg, procs, 100, 201); k == base {
+	if key(cfg, 100, 201) == base {
 		t.Error("ProfileWindow does not affect the key")
 	}
 	hbm := sim.DefaultConfig("A", sim.Homogeneous(mem.HBM), sim.PolicyFixed)
-	if k, _ := ResultCacheKey(hbm, procs, 100, 200); k == base {
+	if key(hbm, 100, 200) == base {
 		t.Error("memory modules do not affect the key")
 	}
 	moca := sim.DefaultConfig("A", sim.Heterogeneous(sim.Config1), sim.PolicyMOCA)
-	if k, _ := ResultCacheKey(moca, procs, 100, 200); k == base {
+	if key(moca, 100, 200) == base {
 		t.Error("placement policy does not affect the key")
 	}
 

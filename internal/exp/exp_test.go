@@ -187,6 +187,13 @@ func TestFig8And9SingleCoreShapes(t *testing.T) {
 	if f9.ColMean(SysRL) <= f9.ColMean(SysDDR3) {
 		t.Errorf("Homogen-RL EDP %.3f not worse than DDR3 %.3f", f9.ColMean(SysRL), f9.ColMean(SysDDR3))
 	}
+	// The deviation EXPERIMENTS.md records: lbm's two streaming grids
+	// oversubscribe the single HBM channel, so its MOCA memory EDP sits
+	// above DDR3's (1.29 at this scale, 1.20 at full scale). Only a flip
+	// of that direction fails.
+	if e := f9.Get("lbm", SysMOCA); e <= 1 {
+		t.Errorf("lbm MOCA memory EDP %.3f no longer above DDR3; update the deviation in EXPERIMENTS.md\n%s", e, f9.Table())
+	}
 	// The disparity case study: MOCA gives RLDRAM to the latency-sensitive
 	// disparity map where Heter-App's first-faulting image buffer claims
 	// it, so MOCA's access time relative to Heter-App's drops further on

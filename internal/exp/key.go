@@ -43,26 +43,10 @@ type resultKey struct {
 	Metrics bool `json:"metrics"`
 }
 
-// ResultCacheKey returns the canonical persistent-cache key for one
-// simulation. Presentation-only fields (Config.Name) and non-data fields
-// (Config.Obs sinks, ProcSpec.Stream) are excluded; everything else that
-// shapes the run — modules, policy, chains, thresholds, scheduler knobs,
-// app specs, class maps, windows — is included.
-func ResultCacheKey(cfg sim.Config, procs []sim.ProcSpec, measure, profileWindow uint64) (string, error) {
-	cfgKey, err := configKey(cfg)
-	if err != nil {
-		return "", err
-	}
-	procKeys := make([][]byte, len(procs))
-	for i, p := range procs {
-		if procKeys[i], err = procKey(p); err != nil {
-			return "", err
-		}
-	}
-	return string(appendResultKey(nil, cfgKey, procKeys, measure, profileWindow, cfg.Obs.Metrics)), nil
-}
-
 // configKey encodes the resultKey.Cfg fragment of cfg's key.
+// Presentation-only fields (Config.Name) and non-data fields (Config.Obs
+// sinks) are excluded; everything else that shapes the run (modules,
+// policy, chains, thresholds, scheduler knobs) is included.
 func configKey(cfg sim.Config) ([]byte, error) {
 	cfg.Name = ""
 	cfg.Obs = obs.Options{}
@@ -73,7 +57,8 @@ func configKey(cfg sim.Config) ([]byte, error) {
 	return data, nil
 }
 
-// procKey encodes one element of the resultKey.Procs fragment.
+// procKey encodes one element of the resultKey.Procs fragment: p with
+// its non-data Stream cleared.
 func procKey(p sim.ProcSpec) ([]byte, error) {
 	p.Stream = nil
 	data, err := json.Marshal(p)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -14,6 +13,23 @@ import (
 	"moca/internal/sim"
 	"moca/internal/workload"
 )
+
+// ResultCacheKey encodes a run's result key whole, from fresh configKey
+// and procKey fragments: the splice a Runner's cached fragments must
+// reproduce.
+func ResultCacheKey(cfg sim.Config, procs []sim.ProcSpec, measure, profileWindow uint64) (string, error) {
+	cfgKey, err := configKey(cfg)
+	if err != nil {
+		return "", err
+	}
+	procKeys := make([][]byte, len(procs))
+	for i, p := range procs {
+		if procKeys[i], err = procKey(p); err != nil {
+			return "", err
+		}
+	}
+	return string(appendResultKey(nil, cfgKey, procKeys, measure, profileWindow, cfg.Obs.Metrics)), nil
+}
 
 // referenceResultKey is the result key as one json.Marshal of resultKey
 // writes it: the bytes appendResultKey's splice must reproduce.
@@ -151,85 +167,78 @@ func TestRunnerKeysMatchReference(t *testing.T) {
 	}
 }
 
-// TestResultCacheKeyCrossPath: moca-sim keys a run with ResultCacheKey
-// over the config and process specs it builds itself, the Runner with its
-// spliced fragments. An entry stored by either is a hit for the other.
-func TestResultCacheKeyCrossPath(t *testing.T) {
+// TestUseProfile: a profile installed with UseProfile stands in for the
+// runner's own profiling run. Nothing is profiled, the simulated result
+// is byte-identical to a self-profiling runner's, and the run hits the
+// RunCache entry that runner stored. An unknown app is refused.
+func TestUseProfile(t *testing.T) {
 	def, err := SystemByName("moca")
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRunner := func(dir string) *Runner {
+	dir := t.TempDir()
+	newRunner := func(cache *RunCache) *Runner {
 		r := NewRunner()
 		r.Measure = 20_000
 		r.FW.ProfileWindow = 100_000
-		r.Cache = openCache(t, dir, CacheReadWrite)
+		r.Cache = cache
 		return r
 	}
-	// simKey is moca-sim's key for the run: its own instrumentation,
-	// config and process specs.
-	simKey := func(r *Runner) string {
-		t.Helper()
-		ins, err := r.FW.Instrument(workload.MCF())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
-		key, err := ResultCacheKey(cfg, []sim.ProcSpec{ins.Proc(cfg.Policy, workload.Ref)}, r.Measure, r.FW.ProfileWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return key
+	self := newRunner(openCache(t, dir, CacheReadWrite))
+	want, err := self.RunSingle(def, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := self.Stats(); st.Profiled != 1 || st.Simulated != 1 {
+		t.Fatalf("self-profiling runner: Profiled=%d Simulated=%d, want 1/1", st.Profiled, st.Simulated)
+	}
+	wantJSON, _ := want.MarshalJSON()
+	pr, err := self.FW.Profile(workload.MCF())
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	t.Run("moca-sim stores, Runner hits", func(t *testing.T) {
-		r := newRunner(t.TempDir())
-		_, _, payload := v1Entry(t, "v1-result.json")
-		stored := new(sim.Result)
-		if err := stored.UnmarshalJSON(payload); err != nil {
+	t.Run("simulated", func(t *testing.T) {
+		r := newRunner(nil)
+		if err := r.UseProfile("mcf", pr); err != nil {
 			t.Fatal(err)
 		}
-		stored.Name = def.Name
-		if err := r.Cache.StoreResult(simKey(r), stored); err != nil {
+		got, err := r.RunSingle(def, "mcf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Profiled != 0 || st.Simulated != 1 {
+			t.Errorf("Profiled=%d Simulated=%d, want 0/1", st.Profiled, st.Simulated)
+		}
+		if gotJSON, _ := got.MarshalJSON(); string(gotJSON) != string(wantJSON) {
+			t.Error("a run from the installed profile differs from the self-profiled run")
+		}
+	})
+
+	t.Run("cache hit", func(t *testing.T) {
+		r := newRunner(openCache(t, dir, CacheRead))
+		if err := r.UseProfile("mcf", pr); err != nil {
 			t.Fatal(err)
 		}
 		swapNewSystem(t, func(cfg sim.Config, procs []sim.ProcSpec) (*sim.System, error) {
-			t.Error("Runner simulated a run moca-sim had stored")
+			t.Error("simulated a run the self-profiling runner had stored")
 			return sim.New(cfg, procs)
 		})
 		got, err := r.RunSingle(def, "mcf")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := r.Stats(); st.DiskHits != 1 || st.Simulated != 0 {
-			t.Fatalf("DiskHits=%d Simulated=%d, want 1/0", st.DiskHits, st.Simulated)
+		if st := r.Stats(); st.Profiled != 0 || st.ProfileDiskHits != 0 || st.DiskHits != 1 {
+			t.Errorf("Profiled=%d ProfileDiskHits=%d DiskHits=%d, want 0/0/1", st.Profiled, st.ProfileDiskHits, st.DiskHits)
 		}
-		gotJSON, _ := got.MarshalJSON()
-		wantJSON, _ := stored.MarshalJSON()
-		if string(gotJSON) != string(wantJSON) {
-			t.Error("Runner served a different result than moca-sim stored")
+		if gotJSON, _ := got.MarshalJSON(); string(gotJSON) != string(wantJSON) {
+			t.Error("the cache served a different result than the self-profiling runner stored")
 		}
 	})
 
-	t.Run("Runner stores, moca-sim hits", func(t *testing.T) {
-		dir := t.TempDir()
-		r := newRunner(dir)
-		want, err := r.RunSingle(def, "mcf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := openCache(t, dir, CacheRead)
-		got, ok := c.LoadResult(simKey(r))
-		if !ok {
-			entries, _ := os.ReadDir(dir)
-			t.Fatalf("moca-sim's key missed the Runner's entry (%d files in the cache)", len(entries))
-		}
-		gotJSON, _ := got.MarshalJSON()
-		wantJSON, _ := want.MarshalJSON()
-		if string(gotJSON) != string(wantJSON) {
-			t.Error("moca-sim loaded a different result than the Runner stored")
-		}
-	})
+	if err := newRunner(nil).UseProfile("bogus", pr); err == nil {
+		t.Error("UseProfile accepted an unknown app")
+	}
 }
 
 // BenchmarkResultCacheKey: one 4-core MOCA run's key, encoded whole by

@@ -18,6 +18,7 @@ import (
 	"moca/internal/core"
 	"moca/internal/mem"
 	"moca/internal/obs"
+	"moca/internal/profile"
 	"moca/internal/sim"
 	"moca/internal/workload"
 )
@@ -285,6 +286,26 @@ func (r *Runner) instrument(appName string) (ins core.Instrumentation, err error
 	return r.FW.InstrumentFromProfile(spec, pr), nil
 }
 
+// UseProfile installs pr, a profile made elsewhere (moca-profile), as
+// app's instrumentation: runs of app then neither profile it nor look its
+// profile up in the persistent cache. It must precede app's first run;
+// runs already memoized keep the instrumentation they ran with.
+func (r *Runner) UseProfile(app string, pr profile.Profile) error {
+	spec, ok := workload.ByName(app)
+	if !ok {
+		return fmt.Errorf("exp: unknown app %q", app)
+	}
+	a := &appInstr{ins: r.FW.InstrumentFromProfile(spec, pr)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.instr == nil {
+		r.instr = make(map[string]*appInstr)
+		r.iflight = make(map[string]*instrFlight)
+	}
+	r.instr[app] = a
+	return nil
+}
+
 // RunSingle simulates one application alone on the given system (cached).
 func (r *Runner) RunSingle(def SystemDef, appName string) (*sim.Result, error) {
 	return r.RunSingleCtx(r.context(), def, appName)
@@ -477,8 +498,8 @@ func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg
 	return cfg, procs, cacheKey, err
 }
 
-// resultCacheKey returns ResultCacheKey(cfg, procs, r.Measure,
-// r.FW.ProfileWindow) for prepare's run of def, where procs[i] is the
+// resultCacheKey returns the result key (resultKey) of prepare's run of
+// def under r.Measure and r.FW.ProfileWindow, where procs[i] is the
 // process spec of the app in ins[i]. It splices fragments this runner
 // encodes once, under r.mu: one per system (cfgKeys) and one per app and
 // MOCA-or-not (appInstr.procKey).

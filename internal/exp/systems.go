@@ -8,13 +8,13 @@ import (
 	"moca/internal/sim"
 )
 
-// SystemByName resolves the CLI-style system names moca-sim accepts
-// (ddr3, rl, hbm, lp, heter-app, moca, migrate, with an optional
-// @config2/@config3 capacity suffix) to a SystemDef. The returned Name is
-// the simulator config name ("homogen-ddr3", "moca", ...), so a run
-// executed through the Runner is byte-identical — including Result.Name —
-// to the same run executed by moca-sim locally. moca-served resolves
-// SUBMIT frames through this table.
+// SystemByName resolves a command-line system name (ddr3, rl, hbm, lp,
+// heter-app, moca, migrate, with an optional @config2/@config3 capacity
+// suffix) to a SystemDef. It is the one system-name table: moca-sim's
+// -system, moca-trace replay's -system, and moca-served's SUBMIT and
+// TRACE_START frames all resolve through it. The returned Name is the
+// simulator config name ("homogen-ddr3", "moca", ...), so a result's Name
+// is the same whichever of them ran it.
 func SystemByName(name string) (SystemDef, error) {
 	base, sel := name, sim.Config1
 	if i := strings.Index(name, "@"); i >= 0 {
