@@ -287,7 +287,7 @@ func seek(args []string) {
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	appName := fs.String("app", "", "application the trace was recorded from")
-	system := fs.String("system", "ddr3", "memory system, named as for moca-sim (ddr3|rl|hbm|lp|heter-app|moca|migrate, optionally @config2/@config3)")
+	system := fs.String("system", "ddr3", "memory system, named as for moca-sim (ddr3|rl|hbm|lp|migrate, optionally @config2/@config3); moca and heter-app need profiled classes a trace does not carry")
 	measure := fs.Uint64("measure", 200_000, "measured instructions")
 	skip := fs.Uint64("skip", 0, "stream items to skip before replaying")
 	asJSON := fs.Bool("json", false, "print the full result document as JSON")
@@ -306,7 +306,7 @@ func replay(args []string) {
 	if !ok {
 		fatal("unknown application %q", *appName)
 	}
-	def, err := exp.SystemByName(*system)
+	def, err := exp.ReplaySystemByName(*system)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -2,11 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -175,36 +178,64 @@ func (c *RunCache) Stats() CacheStats {
 	}
 }
 
-func (c *RunCache) path(kind, key string) string {
-	return filepath.Join(c.dir, kind+"-"+hashKey(key)+".json")
+// path returns the file that holds the entry for (kind, key): the
+// SHA-256 of the key bytes, hex-encoded, under the cache directory.
+func (c *RunCache) path(kind string, key []byte) string {
+	sum := sha256.Sum256(key)
+	var buf [256]byte
+	b := append(append(buf[:0], c.dir...), os.PathSeparator)
+	b = append(append(b, kind...), '-')
+	b = hex.AppendEncode(b, sum[:])
+	return string(append(b, ".json"...))
 }
 
-// load returns the payload framed under (kind, key): a sub-slice of the
-// file, not a copy, and the entry's path. A missing file is a miss; a
-// file whose frame, salt or key does not match is rejected. The caller
-// counts the hit once its payload decodes, and rejects the entry at path
-// if it does not.
-func (c *RunCache) load(kind, key string) (payload []byte, path string, ok bool) {
+// entryBufs recycles the buffers load reads entries into. A buffer goes
+// back only after its payload has decoded, and both decoders copy every
+// string out of their input, so no loaded value aliases a pooled buffer.
+var entryBufs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+
+// load reads the entry for (kind, key) and hands its payload to decode. A
+// missing file is a miss; a file whose frame, salt or key does not match,
+// or whose payload decode rejects, is rejected (see reject). A hit is
+// counted once the payload has decoded.
+func (c *RunCache) load(kind string, key []byte, decode func(payload []byte) error) bool {
 	if c == nil {
-		return nil, "", false
+		return false
 	}
-	path = c.path(kind, key)
-	data, err := os.ReadFile(path)
+	path := c.path(kind, key)
+	bp := entryBufs.Get().(*[]byte)
+	defer entryBufs.Put(bp)
+	data, err := readEntry(path, (*bp)[:0])
+	*bp = data[:0]
 	if err != nil {
 		c.misses.Add(1)
-		return nil, "", false
+		return false
 	}
 	salt, rest, ok := bytes.Cut(data, newline)
 	if !ok || string(salt) != c.salt {
 		c.reject(path)
-		return nil, "", false
+		return false
 	}
 	k, payload, ok := bytes.Cut(rest, newline)
-	if !ok || string(k) != key {
+	if !ok || !bytes.Equal(k, key) || decode(payload) != nil {
 		c.reject(path)
-		return nil, "", false
+		return false
 	}
-	return payload, path, true
+	c.hits.Add(1)
+	return true
+}
+
+// readEntry reads the file at path into b's spare capacity, growing it
+// as needed, and returns the filled slice.
+func readEntry(path string, b []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return b, err
+	}
+	defer f.Close()
+	buf := bytes.NewBuffer(b)
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 var newline = []byte{'\n'}
@@ -225,8 +256,8 @@ func (c *RunCache) writable() bool { return c != nil && c.mode == CacheReadWrite
 
 // store persists the encoded payload under (kind, key) atomically. Callers
 // encode and store only when the cache is writable.
-func (c *RunCache) store(kind, key string, payload []byte) error {
-	if strings.Contains(c.salt, "\n") || strings.Contains(key, "\n") {
+func (c *RunCache) store(kind string, key, payload []byte) error {
+	if strings.Contains(c.salt, "\n") || bytes.IndexByte(key, '\n') >= 0 {
 		return fmt.Errorf("exp: cache salt or %s key contains a newline", kind)
 	}
 	data := make([]byte, 0, len(c.salt)+len(key)+len(payload)+2)
@@ -294,22 +325,16 @@ func (c *RunCache) evict(path string) {
 
 // LoadResult returns the cached simulation result for key, if present and
 // valid. An entry that fails to decode is rejected and reported as a miss.
-func (c *RunCache) LoadResult(key string) (*sim.Result, bool) {
-	payload, path, ok := c.load("result", key)
-	if !ok {
-		return nil, false
-	}
+func (c *RunCache) LoadResult(key []byte) (*sim.Result, bool) {
 	res := new(sim.Result)
-	if err := res.UnmarshalJSON(payload); err != nil {
-		c.reject(path)
+	if !c.load("result", key, res.UnmarshalJSON) {
 		return nil, false
 	}
-	c.hits.Add(1)
 	return res, true
 }
 
 // StoreResult persists a simulation result under key.
-func (c *RunCache) StoreResult(key string, res *sim.Result) error {
+func (c *RunCache) StoreResult(key []byte, res *sim.Result) error {
 	if !c.writable() {
 		return nil
 	}
@@ -322,22 +347,17 @@ func (c *RunCache) StoreResult(key string, res *sim.Result) error {
 
 // LoadProfile returns the cached offline profile for key, if present and
 // valid.
-func (c *RunCache) LoadProfile(key string) (profile.Profile, bool) {
-	payload, path, ok := c.load("profile", key)
-	if !ok {
-		return profile.Profile{}, false
-	}
-	pr, err := profile.Unmarshal(payload)
-	if err != nil {
-		c.reject(path)
-		return profile.Profile{}, false
-	}
-	c.hits.Add(1)
-	return pr, true
+func (c *RunCache) LoadProfile(key []byte) (profile.Profile, bool) {
+	var pr profile.Profile
+	ok := c.load("profile", key, func(payload []byte) (err error) {
+		pr, err = profile.Unmarshal(payload)
+		return err
+	})
+	return pr, ok
 }
 
 // StoreProfile persists an offline profile under key.
-func (c *RunCache) StoreProfile(key string, pr profile.Profile) error {
+func (c *RunCache) StoreProfile(key []byte, pr profile.Profile) error {
 	if !c.writable() {
 		return nil
 	}

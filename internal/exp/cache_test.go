@@ -253,10 +253,10 @@ func TestCacheOpenSweepsCrashDebris(t *testing.T) {
 
 	// A valid entry, written through the normal durable path.
 	c1 := openCache(t, dir, CacheReadWrite)
-	if err := c1.StoreResult("k", &sim.Result{Name: "x"}); err != nil {
+	if err := c1.StoreResult([]byte("k"), &sim.Result{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	validPath := c1.path("result", "k")
+	validPath := c1.path("result", []byte("k"))
 
 	stale := dir + "/.result-dead123.tmp"
 	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
@@ -291,7 +291,7 @@ func TestCacheOpenSweepsCrashDebris(t *testing.T) {
 	if st := c2.Stats(); st.Evictions != 1 {
 		t.Errorf("Evictions=%d after sweep, want 1 (the zero-byte entry)", st.Evictions)
 	}
-	if res, ok := c2.LoadResult("k"); !ok || res.Name != "x" {
+	if res, ok := c2.LoadResult([]byte("k")); !ok || res.Name != "x" {
 		t.Errorf("valid entry unreadable after sweep: ok=%v", ok)
 	}
 }
@@ -302,19 +302,19 @@ func TestCacheOpenSweepsCrashDebris(t *testing.T) {
 func TestCacheZeroByteEntryEvictedOnLoad(t *testing.T) {
 	dir := t.TempDir()
 	c := openCache(t, dir, CacheReadWrite)
-	if err := c.StoreResult("k", &sim.Result{Name: "x"}); err != nil {
+	if err := c.StoreResult([]byte("k"), &sim.Result{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path("result", "k"), nil, 0o644); err != nil {
+	if err := os.WriteFile(c.path("result", []byte("k")), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.LoadResult("k"); ok {
+	if _, ok := c.LoadResult([]byte("k")); ok {
 		t.Fatal("zero-byte entry decoded as a hit")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Hits != 0 {
 		t.Errorf("Evictions=%d Hits=%d, want 1 eviction and 0 hits", st.Evictions, st.Hits)
 	}
-	if _, err := os.Stat(c.path("result", "k")); !os.IsNotExist(err) {
+	if _, err := os.Stat(c.path("result", []byte("k"))); !os.IsNotExist(err) {
 		t.Errorf("zero-byte entry still on disk (err=%v)", err)
 	}
 }

@@ -48,7 +48,7 @@ func storedEntries(tb testing.TB, dir string) (c *RunCache, resKey, profKey stri
 	if err := res.UnmarshalJSON(payload); err != nil {
 		tb.Fatal(err)
 	}
-	if err := c.StoreResult(resKey, res); err != nil {
+	if err := c.StoreResult([]byte(resKey), res); err != nil {
 		tb.Fatal(err)
 	}
 	_, profKey, payload = v1Entry(tb, "v1-profile.json")
@@ -56,13 +56,13 @@ func storedEntries(tb testing.TB, dir string) (c *RunCache, resKey, profKey stri
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := c.StoreProfile(profKey, pr); err != nil {
+	if err := c.StoreProfile([]byte(profKey), pr); err != nil {
 		tb.Fatal(err)
 	}
-	if resEntry, err = os.ReadFile(c.path("result", resKey)); err != nil {
+	if resEntry, err = os.ReadFile(c.path("result", []byte(resKey))); err != nil {
 		tb.Fatal(err)
 	}
-	if profEntry, err = os.ReadFile(c.path("profile", profKey)); err != nil {
+	if profEntry, err = os.ReadFile(c.path("profile", []byte(profKey))); err != nil {
 		tb.Fatal(err)
 	}
 	return c, resKey, profKey, resEntry, profEntry
@@ -95,7 +95,7 @@ func TestCacheEntryFraming(t *testing.T) {
 	if string(entry) != want {
 		t.Fatalf("entry is not salt\\nkey\\npayload:\n%.200s", entry)
 	}
-	res, ok := c.LoadResult(resKey)
+	res, ok := c.LoadResult([]byte(resKey))
 	if !ok {
 		t.Fatal("stored entry did not load")
 	}
@@ -116,11 +116,11 @@ func TestCacheEntryFraming(t *testing.T) {
 func TestCacheStoreRefusesNewline(t *testing.T) {
 	dir := t.TempDir()
 	c := openCache(t, dir, CacheReadWrite)
-	if err := c.StoreResult("a\nb", &sim.Result{Name: "x"}); err == nil {
+	if err := c.StoreResult([]byte("a\nb"), &sim.Result{Name: "x"}); err == nil {
 		t.Error("key with a newline was stored")
 	}
 	c.salt = "moca-cache-v2\n"
-	if err := c.StoreProfile("k", profile.Profile{}); err == nil {
+	if err := c.StoreProfile([]byte("k"), profile.Profile{}); err == nil {
 		t.Error("salt with a newline was stored")
 	}
 	if snap := snapshotDir(t, dir); len(snap) != 0 {
@@ -143,11 +143,11 @@ func TestCacheTruncatedEntriesNeverHit(t *testing.T) {
 		entry     []byte
 		load      func(c *RunCache, key string) bool
 	}{
-		{"result", resKey, resEntry, func(c *RunCache, key string) bool { _, ok := c.LoadResult(key); return ok }},
-		{"profile", profKey, profEntry, func(c *RunCache, key string) bool { _, ok := c.LoadProfile(key); return ok }},
+		{"result", resKey, resEntry, func(c *RunCache, key string) bool { _, ok := c.LoadResult([]byte(key)); return ok }},
+		{"profile", profKey, profEntry, func(c *RunCache, key string) bool { _, ok := c.LoadProfile([]byte(key)); return ok }},
 	}
 	for _, tc := range cases {
-		path := rw.path(tc.kind, tc.key)
+		path := rw.path(tc.kind, []byte(tc.key))
 		for n := 0; n < len(tc.entry); n++ {
 			if err := os.WriteFile(path, tc.entry[:n], 0o644); err != nil {
 				t.Fatal(err)
@@ -260,10 +260,10 @@ func FuzzRunCacheEntry(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := openCache(t, dir, CacheReadWrite)
-		if err := os.WriteFile(c.path("result", key), data, 0o644); err != nil {
+		if err := os.WriteFile(c.path("result", []byte(key)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, ok := c.LoadResult(key)
+		res, ok := c.LoadResult([]byte(key))
 		st := c.Stats()
 		if payload, framed := bytes.CutPrefix(data, head); framed {
 			// A leading space sends the reference decode down the
@@ -292,10 +292,86 @@ func FuzzRunCacheEntry(f *testing.F) {
 	})
 }
 
+// TestLoadedResultOutlivesEntryBuffer: entries are read into pooled
+// buffers, so loading result B may overwrite the bytes result A was
+// decoded from. A must not alias them: it still re-encodes to its stored
+// payload after B's loads.
+func TestLoadedResultOutlivesEntryBuffer(t *testing.T) {
+	c, keyA, _, _, _ := storedEntries(t, t.TempDir())
+	_, _, payloadA := v1Entry(t, "v1-result.json")
+	a, ok := c.LoadResult([]byte(keyA))
+	if !ok {
+		t.Fatal("result A missed")
+	}
+	b := new(sim.Result)
+	if err := b.UnmarshalJSON(payloadA); err != nil {
+		t.Fatal(err)
+	}
+	// B differs from A in every string, at the same offsets.
+	b.Name = strings.Repeat("b", len(b.Name))
+	for i := range b.Cores {
+		b.Cores[i].App = strings.Repeat("b", len(b.Cores[i].App))
+	}
+	keyB := []byte(keyA)
+	keyB[0] = '['
+	if err := c.StoreResult(keyB, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if got, ok := c.LoadResult(keyB); !ok || got.Name != b.Name {
+			t.Fatal("result B did not load")
+		}
+	}
+	again, err := a.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, payloadA) {
+		t.Errorf("result A changed after B was loaded through the same buffers:\n%.200s", again)
+	}
+}
+
+// TestRunCacheLoadAllocBudget is the CI bench smoke for the disk-hit path:
+// BenchmarkRunCacheLoadResult may allocate no more per op than its
+// BENCH_throughput.json micro entry records. Skipped unless
+// MOCA_BENCH_SMOKE=1.
+func TestRunCacheLoadAllocBudget(t *testing.T) {
+	if os.Getenv("MOCA_BENCH_SMOKE") == "" {
+		t.Skip("set MOCA_BENCH_SMOKE=1 to run the bench smoke")
+	}
+	data, err := os.ReadFile("../../BENCH_throughput.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Micro map[string]struct {
+			AllocsPerOp int64 `json:"allocs_per_op"`
+		} `json:"micro"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := f.Micro["BenchmarkRunCacheLoadResult"]
+	if !ok {
+		t.Fatal("BENCH_throughput.json has no micro entry BenchmarkRunCacheLoadResult")
+	}
+	res := testing.Benchmark(BenchmarkRunCacheLoadResult)
+	t.Logf("allocs/op: measured %d, budget %d", res.AllocsPerOp(), m.AllocsPerOp)
+	if allocs := res.AllocsPerOp(); allocs > m.AllocsPerOp {
+		t.Fatalf("disk hit allocates %d allocs/op, budget %d; if intentional, update the micro entry in BENCH_throughput.json",
+			allocs, m.AllocsPerOp)
+	}
+}
+
 // BenchmarkRunCacheLoadResult: one disk hit — read, frame check and
-// decode of a stored result.
+// decode of a stored result — in the steady state, where the entry
+// buffer comes from the pool.
 func BenchmarkRunCacheLoadResult(b *testing.B) {
-	c, key, _, _, _ := storedEntries(b, b.TempDir())
+	c, skey, _, _, _ := storedEntries(b, b.TempDir())
+	key := []byte(skey)
+	if _, ok := c.LoadResult(key); !ok {
+		b.Fatal("stored result missed")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,10 +426,10 @@ func TestCacheNullPayloadMisses(t *testing.T) {
 		kind, key string
 		load      func(c *RunCache, key string) bool
 	}{
-		{"result", resKey, func(c *RunCache, key string) bool { _, ok := c.LoadResult(key); return ok }},
-		{"profile", profKey, func(c *RunCache, key string) bool { _, ok := c.LoadProfile(key); return ok }},
+		{"result", resKey, func(c *RunCache, key string) bool { _, ok := c.LoadResult([]byte(key)); return ok }},
+		{"profile", profKey, func(c *RunCache, key string) bool { _, ok := c.LoadProfile([]byte(key)); return ok }},
 	} {
-		path := rw.path(tc.kind, tc.key)
+		path := rw.path(tc.kind, []byte(tc.key))
 		if err := os.WriteFile(path, []byte(rw.salt+"\n"+tc.key+"\nnull"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestStoreOnFullDisk(t *testing.T) {
 
 	orig := writeTemp
 	swapWriteTemp(t, fullDisk("result"))
-	err := c.StoreResult(key, res)
+	err := c.StoreResult([]byte(key), res)
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("store on a full disk returned %v, want an error wrapping ENOSPC", err)
 	}
@@ -72,15 +72,15 @@ func TestStoreOnFullDisk(t *testing.T) {
 	if st := c.Stats(); st.Writes != 0 {
 		t.Errorf("failed store counted %d writes", st.Writes)
 	}
-	if _, ok := c.LoadResult(key); ok {
+	if _, ok := c.LoadResult([]byte(key)); ok {
 		t.Fatal("failed store's key hit")
 	}
 
 	writeTemp = orig
-	if err := c.StoreResult(key, res); err != nil {
+	if err := c.StoreResult([]byte(key), res); err != nil {
 		t.Fatalf("retried store: %v", err)
 	}
-	got, ok := c.LoadResult(key)
+	got, ok := c.LoadResult([]byte(key))
 	if !ok {
 		t.Fatal("retried store's key missed")
 	}

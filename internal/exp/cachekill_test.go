@@ -45,7 +45,7 @@ func killedWriterResult(tb testing.TB, i int) *sim.Result {
 func runKilledWriterChild(t *testing.T, dir string, start int) {
 	c := openCache(t, dir, CacheReadWrite)
 	for i := start; ; i++ {
-		if err := c.StoreResult(killedWriterKey(i), killedWriterResult(t, i)); err != nil {
+		if err := c.StoreResult([]byte(killedWriterKey(i)), killedWriterResult(t, i)); err != nil {
 			t.Fatal(err)
 		}
 		if i == start+killedWriterReady-1 {
@@ -124,7 +124,7 @@ func TestCacheSurvivesKilledWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := c.LoadResult(key)
+		got, ok := c.LoadResult([]byte(key))
 		if !ok {
 			continue
 		}
@@ -155,7 +155,7 @@ func TestCacheSurvivesKilledWriter(t *testing.T) {
 		if len(lines) < 2 {
 			continue // killed before the key reached the file
 		}
-		if _, ok := c.LoadResult(lines[1]); ok {
+		if _, ok := c.LoadResult([]byte(lines[1])); ok {
 			t.Errorf("%s: the key of an unrenamed temp file was served", filepath.Base(tmp))
 		}
 	}

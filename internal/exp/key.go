@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -109,7 +107,7 @@ type profileKey struct {
 
 // profileCacheKey returns the canonical persistent-cache key for one
 // application's offline profile under the framework's settings.
-func profileCacheKey(fw *core.Framework, spec workload.AppSpec) (string, error) {
+func profileCacheKey(fw *core.Framework, spec workload.AppSpec) ([]byte, error) {
 	data, err := json.Marshal(profileKey{
 		Kind:        "profile",
 		App:         spec,
@@ -121,13 +119,7 @@ func profileCacheKey(fw *core.Framework, spec workload.AppSpec) (string, error) 
 		Prefetch:    fw.Prefetch,
 	})
 	if err != nil {
-		return "", fmt.Errorf("exp: serializing profile cache key: %w", err)
+		return nil, fmt.Errorf("exp: serializing profile cache key: %w", err)
 	}
-	return string(data), nil
-}
-
-// hashKey content-addresses a canonical key for use as a filename.
-func hashKey(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
+	return data, nil
 }

@@ -131,8 +131,8 @@ func TestRunnerKeysMatchReference(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if key != want {
-			return fmt.Errorf("%s on %v: Runner key differs from the reference; %s", MemoKey(rn.def, ""), rn.apps, keyDiff(key, want))
+		if string(key) != want {
+			return fmt.Errorf("%s on %v: Runner key differs from the reference; %s", MemoKey(rn.def, ""), rn.apps, keyDiff(string(key), want))
 		}
 		if k, err := ResultCacheKey(cfg, procs, r.Measure, r.FW.ProfileWindow); err != nil || k != want {
 			return fmt.Errorf("%s on %v: ResultCacheKey differs from the reference (err %v); %s", MemoKey(rn.def, ""), rn.apps, err, keyDiff(k, want))

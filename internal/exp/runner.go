@@ -262,7 +262,7 @@ func (r *Runner) instrument(appName string) (ins core.Instrumentation, err error
 	if !ok {
 		return core.Instrumentation{}, fmt.Errorf("exp: unknown app %q", appName)
 	}
-	var key string
+	var key []byte
 	if r.Cache != nil {
 		key, err = profileCacheKey(r.FW, spec)
 		if err != nil {
@@ -330,9 +330,12 @@ func (r *Runner) RunMixCtx(ctx context.Context, def SystemDef, mix workload.Mix)
 
 // run is the deduplicated entry point: per-key singleflight over the
 // in-memory memo, backed by the persistent cache. The first caller for a
-// key starts the simulation on a flight goroutine; concurrent callers join
-// its flight and share the identical *sim.Result. Every caller — first or
-// joined — is a reference-counted waiter: a caller whose ctx fires returns
+// key registers a flight; concurrent callers join it and share the
+// identical *sim.Result. When every app is already instrumented, the first
+// caller prepares the run and looks it up in the persistent cache on its
+// own goroutine, so a disk hit starts none; otherwise, and on a miss, a
+// flight goroutine profiles and simulates. Every caller — first or joined
+// — is a reference-counted waiter: a caller whose ctx fires returns
 // ctx.Err() and detaches without disturbing the flight, and only the last
 // departing waiter cancels the shared simulation.
 func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []string) (*sim.Result, error) {
@@ -381,18 +384,52 @@ func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []stri
 		f.cancel = cancel
 		memoKey := string(kb)
 		r.flights[memoKey] = f
+		instrumented := true
+		for _, app := range apps {
+			if _, ok := r.instr[app]; !ok {
+				instrumented = false
+				break
+			}
+		}
 		r.mu.Unlock()
 
+		var p *prepared
+		if instrumented {
+			// Preparing cannot block on profiling now, so this caller is
+			// the flight until the lookup misses.
+			res, miss, err := r.lookup(ctx, def, memoKey, apps)
+			if miss == nil {
+				r.finish(f, def, memoKey, key, res, err)
+				return f.res, f.err
+			}
+			p = miss
+		}
 		//moca:gorountracked flight lifetime is tracked by f.done; the last detaching waiter cancels it
-		go r.lead(fctx, f, def, memoKey, key, apps)
+		go r.lead(fctx, f, def, memoKey, key, apps, p)
 		return r.wait(ctx, f, false)
 	}
 }
 
+// prepared is one run as prepare resolves it, handed from a lookup that
+// missed to the simulation.
+type prepared struct {
+	cfg      sim.Config
+	procs    []sim.ProcSpec
+	cacheKey []byte
+}
+
 // lead executes one flight's simulation under the flight context and
-// publishes the outcome to every joined waiter.
-func (r *Runner) lead(fctx context.Context, f *flight, def SystemDef, memoKey, key string, apps []string) {
-	res, err := r.simulate(fctx, def, memoKey, apps)
+// publishes the outcome to every joined waiter. p is the run as the
+// caller's lookup prepared it, or nil if lead must prepare and look it up.
+func (r *Runner) lead(fctx context.Context, f *flight, def SystemDef, memoKey, key string, apps []string, p *prepared) {
+	res, err := r.simulate(fctx, def, memoKey, apps, p)
+	r.finish(f, def, memoKey, key, res, err)
+}
+
+// finish publishes a flight's outcome to its waiters, memoizes a result
+// and retires the flight; a failed flight is forgotten so the key can be
+// retried.
+func (r *Runner) finish(f *flight, def SystemDef, memoKey, key string, res *sim.Result, err error) {
 	if err != nil {
 		err = fmt.Errorf("exp: %s on %s: %w", key, def.Name, err)
 	}
@@ -433,34 +470,51 @@ func (r *Runner) wait(ctx context.Context, f *flight, joined bool) (*sim.Result,
 	}
 }
 
-// simulate executes (or loads from the persistent cache) one simulation.
-// Panics in the simulator surface as errors carrying the run's key.
-func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, apps []string) (res *sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("run %q panicked: %v\n%s", memoKey, p, debug.Stack())
-		}
-	}()
+// catchPanic, deferred, turns a panic in the run named memoKey into *err.
+func catchPanic(memoKey string, err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("run %q panicked: %v\n%s", memoKey, p, debug.Stack())
+	}
+}
 
+// lookup prepares def's run of apps and looks it up in the persistent
+// cache. A hit returns the result; a miss returns the prepared run for
+// simulate. Panics surface as errors carrying the run's key.
+func (r *Runner) lookup(ctx context.Context, def SystemDef, memoKey string, apps []string) (res *sim.Result, miss *prepared, err error) {
+	defer catchPanic(memoKey, &err)
 	cfg, procs, cacheKey, err := r.prepare(ctx, def, apps)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r.Cache != nil {
 		if cached, ok := r.Cache.LoadResult(cacheKey); ok {
 			cached.Name = def.Name // presentational; excluded from the key
 			r.diskHits.Add(1)
-			return cached, nil
+			return cached, nil, nil
+		}
+	}
+	return nil, &prepared{cfg: cfg, procs: procs, cacheKey: cacheKey}, nil
+}
+
+// simulate executes one simulation of the prepared run p, first preparing
+// and looking it up (lookup) if p is nil. Panics in the simulator surface
+// as errors carrying the run's key.
+func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, apps []string, p *prepared) (res *sim.Result, err error) {
+	defer catchPanic(memoKey, &err)
+	if p == nil {
+		if res, p, err = r.lookup(ctx, def, memoKey, apps); p == nil {
+			return res, err
 		}
 	}
 
+	cfg := p.cfg
 	var sys *sim.System
 	if r.OnProgress != nil {
 		cfg.Progress = func(done, total uint64) {
 			r.OnProgress(memoKey, done, total, sys.ObsSnapshot)
 		}
 	}
-	sys, err = newSystem(cfg, procs)
+	sys, err = newSystem(cfg, p.procs)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +525,7 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 	r.simulated.Add(1)
 	if r.Cache != nil {
 		// Spill immediately so a later crash resumes from this run.
-		if err := r.Cache.StoreResult(cacheKey, res); err != nil {
+		if err := r.Cache.StoreResult(p.cacheKey, res); err != nil {
 			return nil, err
 		}
 	}
@@ -480,12 +534,12 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 
 // prepare resolves def's run of apps to the config and process specs
 // simulate runs and, with a persistent cache, the run's RunCache key.
-func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg sim.Config, procs []sim.ProcSpec, cacheKey string, err error) {
+func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg sim.Config, procs []sim.ProcSpec, cacheKey []byte, err error) {
 	ins := make([]*appInstr, len(apps))
 	procs = make([]sim.ProcSpec, len(apps))
 	for i, app := range apps {
 		if ins[i], err = r.instrumentCtx(ctx, app); err != nil {
-			return sim.Config{}, nil, "", err
+			return sim.Config{}, nil, nil, err
 		}
 		procs[i] = ins[i].ins.Proc(def.Policy, workload.Ref)
 	}
@@ -503,7 +557,7 @@ func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg
 // process spec of the app in ins[i]. It splices fragments this runner
 // encodes once, under r.mu: one per system (cfgKeys) and one per app and
 // MOCA-or-not (appInstr.procKey).
-func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) (string, error) {
+func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) ([]byte, error) {
 	var sysBuf [160]byte
 	sys := appendSystemKey(sysBuf[:0], def)
 	moca := 0
@@ -518,7 +572,7 @@ func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcS
 	if !ok {
 		if cfgKey, err = configKey(cfg); err != nil {
 			r.mu.Unlock()
-			return "", err
+			return nil, err
 		}
 		if r.cfgKeys == nil {
 			r.cfgKeys = make(map[string][]byte)
@@ -529,13 +583,13 @@ func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcS
 		if a.procKey[moca] == nil {
 			if a.procKey[moca], err = procKey(procs[i]); err != nil {
 				r.mu.Unlock()
-				return "", err
+				return nil, err
 			}
 		}
 		procKeys = append(procKeys, a.procKey[moca])
 	}
 	r.mu.Unlock()
-	return string(appendResultKey(nil, cfgKey, procKeys, r.Measure, r.FW.ProfileWindow, cfg.Obs.Metrics)), nil
+	return appendResultKey(nil, cfgKey, procKeys, r.Measure, r.FW.ProfileWindow, cfg.Obs.Metrics), nil
 }
 
 // MemoKey names one run of def in a Runner's memo, its Results and its
@@ -623,45 +677,37 @@ func effectiveParallelism(parallelism, numCPU int) int {
 	return max(numCPU, 1)
 }
 
-// parallel runs the tasks with bounded concurrency. After all tasks
-// complete it returns the error of the first failing task in submission
-// order (not completion order), so a run that fails reports the same error
-// no matter how the goroutines interleave. Cancellation stops tasks that
-// have not started; a panicking task becomes that task's error instead of
-// killing the process.
+// parallel runs the tasks on a pool of at most effectiveParallelism
+// workers, the calling goroutine among them, which take task indices in
+// submission order. After all tasks complete it returns the error of the
+// first failing task in submission order (not completion order), so a run
+// that fails reports the same error no matter how the workers interleave.
+// Cancellation skips tasks that have not started; a panicking task becomes
+// that task's error instead of killing the process.
 func (r *Runner) parallel(ctx context.Context, tasks []func() error) error {
-	limit := effectiveParallelism(r.Parallelism, runtime.NumCPU())
-	if limit > len(tasks) {
-		limit = len(tasks)
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	sem := make(chan struct{}, limit)
+	limit := min(effectiveParallelism(r.Parallelism, runtime.NumCPU()), len(tasks))
 	errs := make([]error, len(tasks))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(tasks) {
+				return
+			}
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				errs[i] = runTask(i, tasks[i])
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for i, task := range tasks {
-		i, task := i, task
+	for w := 1; w < limit; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("exp: parallel task %d panicked: %v\n%s", i, p, debug.Stack())
-				}
-			}()
-			// Acquire inside the goroutine: spawning never blocks. A
-			// cancellation while queued skips the task entirely.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-sem }()
-			errs[i] = task()
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -671,8 +717,18 @@ func (r *Runner) parallel(ctx context.Context, tasks []func() error) error {
 	return nil
 }
 
-// warmAll pre-executes the cross product of systems and workloads in
-// parallel so subsequent sequential reads hit the cache.
+// runTask runs parallel's task i, turning a panic into its error.
+func runTask(i int, task func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("exp: parallel task %d panicked: %v\n%s", i, p, debug.Stack())
+		}
+	}()
+	return task()
+}
+
+// warmSingles runs every app alone on every system in parallel, after
+// profiling each app once, so the figures' sequential reads hit the memo.
 func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
 	ctx := r.context()
 	var tasks []func() error
@@ -694,6 +750,8 @@ func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
 	return r.parallel(ctx, tasks)
 }
 
+// warmMixes is warmSingles for the 4-app mixes: it profiles every app the
+// mixes use once, then runs every mix on every system in parallel.
 func (r *Runner) warmMixes(systems []SystemDef, mixes []workload.Mix) error {
 	ctx := r.context()
 	appSet := map[string]bool{}

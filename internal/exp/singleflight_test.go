@@ -135,3 +135,99 @@ func TestRunnerCancellation(t *testing.T) {
 		t.Errorf("Simulated = %d after cancellation, want 0", st.Simulated)
 	}
 }
+
+// runConcurrently issues n concurrent RunSingle(def, app) calls on r and
+// requires them all to succeed with one shared *sim.Result.
+func runConcurrently(t *testing.T, r *Runner, n int, def SystemDef, app string) *sim.Result {
+	t.Helper()
+	results := make([]*sim.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = r.RunSingle(def, app)
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if results[i] != results[0] {
+			t.Fatalf("caller %d received a different *Result than caller 0", i)
+		}
+	}
+	return results[0]
+}
+
+// TestDiskHitSingleflight: concurrent requests for one key that the
+// persistent cache holds read the entry once, whether the first caller
+// looks it up itself (the app is already instrumented) or its flight
+// profiles first, and share that one result.
+func TestDiskHitSingleflight(t *testing.T) {
+	dir := t.TempDir()
+	warm := fastRunner()
+	warm.Cache = openCache(t, dir, CacheReadWrite)
+	if _, err := warm.RunSingle(ddr3Def(), "mcf"); err != nil {
+		t.Fatal(err)
+	}
+	for _, instrumented := range []bool{true, false} {
+		r := fastRunner()
+		c := openCache(t, dir, CacheRead)
+		r.Cache = c
+		if instrumented {
+			if _, err := r.Instrument("mcf"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := c.Stats()
+		calls := countingNewSystem(t)
+		const n = 8
+		runConcurrently(t, r, n, ddr3Def(), "mcf")
+		if *calls != 0 {
+			t.Errorf("instrumented=%v: %d simulations constructed, want 0", instrumented, *calls)
+		}
+		st := r.Stats()
+		if st.DiskHits != 1 || st.MemoryHits != n-1 || st.Simulated != 0 || st.Profiled != 0 {
+			t.Errorf("instrumented=%v: DiskHits=%d MemoryHits=%d Simulated=%d Profiled=%d, want 1/%d/0/0",
+				instrumented, st.DiskHits, st.MemoryHits, st.Simulated, st.Profiled, n-1)
+		}
+		// The profile is the other hit when the flight instruments the app.
+		wantHits := uint64(1)
+		if !instrumented {
+			wantHits = 2
+		}
+		if got := c.Stats().Hits - before.Hits; got != wantHits || c.Stats().Misses != 0 {
+			t.Errorf("instrumented=%v: %d cache hits and %d misses, want %d and 0",
+				instrumented, got, c.Stats().Misses, wantHits)
+		}
+	}
+}
+
+// TestMissAfterInlineLookupSimulatesOnce: when the first caller's own
+// lookup misses, the run it prepared is simulated exactly once and stored
+// once, and the concurrent callers share that result.
+func TestMissAfterInlineLookupSimulatesOnce(t *testing.T) {
+	r := fastRunner()
+	c := openCache(t, t.TempDir(), CacheReadWrite)
+	r.Cache = c
+	if _, err := r.Instrument("mcf"); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	calls := countingNewSystem(t)
+	const n = 8
+	runConcurrently(t, r, n, ddr3Def(), "mcf")
+	if *calls != 1 {
+		t.Errorf("%d simulations constructed, want 1", *calls)
+	}
+	if st := r.Stats(); st.Simulated != 1 || st.DiskHits != 0 || st.MemoryHits != n-1 {
+		t.Errorf("Simulated=%d DiskHits=%d MemoryHits=%d, want 1/0/%d", st.Simulated, st.DiskHits, st.MemoryHits, n-1)
+	}
+	after := c.Stats()
+	if misses, writes := after.Misses-before.Misses, after.Writes-before.Writes; misses != 1 || writes != 1 {
+		t.Errorf("%d lookups missed and %d entries were written, want 1 and 1", misses, writes)
+	}
+}

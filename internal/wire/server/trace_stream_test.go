@@ -319,3 +319,36 @@ func TestTraceSessionRejectsLZEraBlocks(t *testing.T) {
 		t.Fatalf("acked %+v, want seq 16", pos)
 	}
 }
+
+// TestTraceStartRefusesProfiledSystems: a trace session cannot run MOCA or
+// Heter-App, which place pages by the profiled classes a replayed stream
+// does not carry. TRACE_START for them is refused with CodeBadReq before
+// any session exists; migrate and the homogeneous systems still open one.
+func TestTraceStartRefusesProfiledSystems(t *testing.T) {
+	srv, addr := startServer(t, Config{DrainTimeout: time.Second, TraceIdleTimeout: time.Minute})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, system := range []string{"moca", "heter-app", "moca@config2"} {
+		spec := traceStartSpec()
+		spec.Session, spec.System = "refused-"+system, system
+		_, _, err := c.TraceStart(spec)
+		var re *client.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeBadReq || !strings.Contains(re.Msg, "profiled classes") {
+			t.Errorf("TRACE_START on %s: %v, want %s naming the profiled classes", system, err, wire.CodeBadReq)
+		}
+	}
+	srv.mu.Lock()
+	n := len(srv.traces)
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("refused TRACE_STARTs created %d sessions", n)
+	}
+	spec := traceStartSpec()
+	spec.Session, spec.System = "accepted-migrate", "migrate"
+	if _, _, err := c.TraceStart(spec); err != nil {
+		t.Fatalf("TRACE_START on migrate: %v", err)
+	}
+}

@@ -128,7 +128,7 @@ func (s *Server) traceSession(c *conn, start wire.TraceStart) (*traceSession, *w
 			s.mu.Unlock()
 			return nil, &wire.ErrorMsg{ID: start.ID, Code: wire.CodeDraining, Msg: "server is shutting down"}
 		}
-		def, err := exp.SystemByName(start.System)
+		def, err := exp.ReplaySystemByName(start.System)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, &wire.ErrorMsg{ID: start.ID, Code: wire.CodeBadReq, Msg: err.Error()}
