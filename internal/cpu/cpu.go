@@ -164,31 +164,40 @@ func (s Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
+// robEntry is one ROB slot: a single load or store, or a run of n compute
+// instructions (occupancy counts instructions, not slots). The fields are
+// ordered so the struct fills exactly one 64-byte cache line.
 type robEntry struct {
-	kind       Kind
-	done       bool
-	issued     bool
-	obj        uint64
-	vaddr      uint64
-	depends    bool
-	level      cache.Level
-	headStalls uint64
+	// n is the number of compute instructions in a Compute slot (1 for
+	// loads and stores).
+	n int32
 	// prevLoad is the ROB index of the most recent older load at dispatch
 	// time (-1: none), replacing a backward ROB walk on every dependent
 	// issue check. Loads retire in order, so it is valid exactly while it
 	// still lies between head and this entry in ring order.
 	prevLoad int32
-
+	kind     Kind
+	done     bool
+	issued   bool
+	depends  bool
 	// Inline-hit servicing (MemPort.AccessLoad): the load completed
 	// synchronously at issue; done flips when the core clock reaches readyAt
 	// (settle), or the completion is promoted to a real event at slot ord.
-	inline  bool
-	readyAt event.Time
-	ord     uint64
+	inline     bool
+	level      cache.Level
+	obj        uint64
+	vaddr      uint64
+	headStalls uint64
+	readyAt    event.Time
+	ord        uint64
 }
 
-// Core is one simulated core. Drive it by calling Tick once per clock; the
-// surrounding simulator interleaves Tick with the event queue.
+// Core is one simulated core. The surrounding simulator drives it one
+// clock at a time with TickAt, interleaved with the event queue, and lets
+// FastForward pay runs of cycles whose outcome needs neither the stream nor
+// the queue in one call. The ROB holds loads and stores one per slot and
+// compute instructions as runs, one slot per run, so the common case costs
+// per run of computes rather than per instruction.
 type Core struct {
 	ID  int
 	cfg Config
@@ -198,9 +207,9 @@ type Core struct {
 	mem    MemPort
 	now    event.Time // current core clock (maintained by TickAt/FastForward)
 
-	rob        []robEntry // ring buffer
+	rob        []robEntry // ring buffer of ROBSize slots
 	head, tail int        // head = oldest; tail = next free
-	occupancy  int
+	occupancy  int        // instructions in flight (a compute run counts n)
 	loadsInLQ  int
 	lastLoad   int32 // ROB index of the most recently dispatched load (-1: none)
 
@@ -225,7 +234,9 @@ type Core struct {
 	// profiler's per-object MLP signal.
 	OnMemLoadRetire func(obj uint64, headStallCycles uint64)
 	// OnRetire, if set, fires with the number of instructions retired
-	// each cycle (profiler's instruction counter).
+	// since the previous call (profiler's instruction counter). One call
+	// may cover several cycles: FastForward reports a closed-form run of
+	// cycles at once.
 	OnRetire func(n uint64)
 }
 
@@ -307,9 +318,16 @@ func (c *Core) settle(e *robEntry) {
 
 //moca:hotpath
 func (c *Core) retire() {
-	retired := uint64(0)
-	for i := 0; i < c.cfg.Width && c.occupancy > 0; i++ {
+	w := c.cfg.Width
+	retired := 0
+	for retired < w && c.occupancy > 0 {
 		e := &c.rob[c.head]
+		if e.kind == Compute {
+			m := min(w-retired, int(e.n))
+			c.retireRun(m)
+			retired += m
+			continue
+		}
 		c.settle(e)
 		if !e.done {
 			if e.kind == Load {
@@ -328,24 +346,43 @@ func (c *Core) retire() {
 				}
 			}
 		}
-		c.head++
-		if c.head == c.cfg.ROBSize {
-			c.head = 0
-		}
+		c.advanceHead()
 		c.occupancy--
 		retired++
 	}
 	if retired > 0 {
-		c.stats.Instructions += retired
+		c.stats.Instructions += uint64(retired)
 		if c.OnRetire != nil {
-			c.OnRetire(retired)
+			c.OnRetire(uint64(retired))
 		}
+	}
+}
+
+// retireRun retires m instructions from the compute run at the ROB head,
+// freeing its slot once the run empties.
+//
+//moca:hotpath
+func (c *Core) retireRun(m int) {
+	e := &c.rob[c.head]
+	e.n -= int32(m)
+	c.occupancy -= m
+	if e.n == 0 {
+		c.advanceHead()
+	}
+}
+
+//moca:hotpath
+func (c *Core) advanceHead() {
+	c.head++
+	if c.head == c.cfg.ROBSize {
+		c.head = 0
 	}
 }
 
 //moca:hotpath
 func (c *Core) dispatch() {
-	for i := 0; i < c.cfg.Width; i++ {
+	w := c.cfg.Width
+	for i := 0; i < w; {
 		if c.occupancy >= c.cfg.ROBSize {
 			c.stats.ROBFullCycles++
 			return
@@ -356,11 +393,11 @@ func (c *Core) dispatch() {
 		}
 		switch in.Kind {
 		case Compute:
-			c.consumeComputeOne()
-			c.push(robEntry{kind: Compute, done: true})
+			i += c.dispatchRun(w - i)
+			continue
 		case Store:
 			c.consume()
-			c.push(robEntry{kind: Store, done: true})
+			c.push(robEntry{kind: Store, done: true, n: 1})
 			c.stats.Stores++
 			if paddr, ok := c.translate(in.VAddr, true); ok {
 				c.mem.Access(paddr, in.Obj, true, nil, 0)
@@ -371,7 +408,7 @@ func (c *Core) dispatch() {
 				return
 			}
 			c.consume()
-			idx := c.push(robEntry{kind: Load, obj: in.Obj, vaddr: in.VAddr, depends: in.DependsOnPrev, prevLoad: c.lastLoad})
+			idx := c.push(robEntry{kind: Load, n: 1, obj: in.Obj, vaddr: in.VAddr, depends: in.DependsOnPrev, prevLoad: c.lastLoad})
 			c.lastLoad = int32(idx)
 			c.loadsInLQ++
 			c.stats.Loads++
@@ -380,7 +417,32 @@ func (c *Core) dispatch() {
 		if c.faulted != nil {
 			return
 		}
+		i++
 	}
+}
+
+// dispatchRun moves min(left, the fetch buffer's compute batch, free ROB
+// entries) compute instructions into the ROB at once, merging them into
+// the tail slot when it is a compute run. The ROB must have a free entry.
+// Returns the number dispatched.
+//
+//moca:hotpath
+func (c *Core) dispatchRun(left int) int {
+	m := min(left, int(c.fb.in.N), c.cfg.ROBSize-c.occupancy)
+	c.consumeComputes(m)
+	if c.occupancy > 0 {
+		last := c.tail - 1
+		if last < 0 {
+			last = c.cfg.ROBSize - 1
+		}
+		if t := &c.rob[last]; t.kind == Compute {
+			t.n += int32(m)
+			c.occupancy += m
+			return m
+		}
+	}
+	c.push(robEntry{kind: Compute, done: true, n: int32(m)})
+	return m
 }
 
 // maybeIssueLoad issues the load at ROB index idx unless it depends on an
@@ -460,14 +522,17 @@ func (c *Core) nextDependentWaiting(idx int) bool {
 
 // FastForward retires a run of batchable cycles starting at now, strictly
 // before end, advancing the core clock in one call instead of one Tick per
-// cycle (compute-run batching). A cycle is batchable when
-// its whole Tick is replicable without touching the instruction stream, the
-// translator, or the event queue:
+// cycle. A cycle is batchable when its whole Tick is replicable without
+// touching the instruction stream, the translator, or the event queue:
 //
-//   - the fetch buffer holds a Compute batch with at least a full dispatch
-//     width remaining (dispatch consumes only the buffer), or
-//   - the ROB is full with an unmatured head (a pure stall cycle: retire
-//     accounts the head stall, dispatch accounts the ROB-full stall).
+//   - the ROB is full with an incomplete, unmatured head: a pure stall
+//     cycle (retire accounts the head stall, dispatch the ROB-full stall),
+//     paid arithmetically up to the head's maturity or end;
+//   - otherwise, the fetch buffer holds a Compute batch with at least a
+//     full dispatch width remaining (see batchable): one retire plus
+//     dispatchComputes, whatever the head holds. When the head is also a
+//     compute run, every such cycle retires and dispatches exactly width
+//     instructions, and steadyCycles pays a run of them in closed form.
 //
 // Batched cycles post no events, fault no pages, and never touch the
 // stream, so they are invisible to every other shard; the caller bounds end
@@ -482,22 +547,13 @@ func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, reti
 	n := 0
 	start := c.stats.Instructions
 	for now < end {
-		if c.occupancy == c.cfg.ROBSize {
-			e := &c.rob[c.head]
-			if e.done {
-				break // head retirable: dispatch may refill, full Tick needed
-			}
+		if e := &c.rob[c.head]; c.occupancy == c.cfg.ROBSize && !e.done && !(e.inline && e.readyAt <= now) {
 			// Pure stall: until the head matures (inline) or an event fires
 			// (bounded by end), every cycle is the same four counter
 			// increments — pay them arithmetically instead of looping.
 			stallEnd := end
-			if e.inline {
-				if e.readyAt <= now {
-					break // matured: a full Tick retires it
-				}
-				if e.readyAt < stallEnd {
-					stallEnd = e.readyAt
-				}
+			if e.inline && e.readyAt < stallEnd {
+				stallEnd = e.readyAt
 			}
 			k := uint64((stallEnd - now + c.cfg.Cycle - 1) / c.cfg.Cycle)
 			c.stats.Cycles += k
@@ -511,15 +567,19 @@ func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, reti
 			c.now = now - c.cfg.Cycle
 			continue
 		}
-		if !c.batchable(now) {
+		if !c.batchable() {
 			break
 		}
-		c.now = now
-		c.stats.Cycles++
-		c.retire()
-		c.dispatchComputes()
-		n++
-		now += c.cfg.Cycle
+		k := c.steadyCycles(now, end, budget-(c.stats.Instructions-start))
+		if k == 0 {
+			c.now = now
+			c.stats.Cycles++
+			c.retire()
+			c.dispatchComputes()
+			k = 1
+		}
+		n += k
+		now += event.Time(k) * c.cfg.Cycle
 		if c.stats.Instructions-start >= budget {
 			break
 		}
@@ -527,39 +587,82 @@ func (c *Core) FastForward(now, end event.Time, budget uint64) (cycles int, reti
 	return n, c.stats.Instructions - start
 }
 
-// batchable reports whether the Tick at cycle now is replicable by
-// retire+dispatchComputes alone (see FastForward). It never touches the
-// stream: peeking could end it a cycle early and diverge from per-cycle
-// Ticks.
+// batchable reports whether the Tick at the next cycle is replicable by
+// retire+dispatchComputes alone (see FastForward): dispatch then consumes
+// only the fetch buffer. It never touches the stream: peeking could end it
+// a cycle early and diverge from per-cycle Ticks.
 //
 //moca:hotpath
-func (c *Core) batchable(now event.Time) bool {
-	if c.fb.valid && c.fb.in.Kind == Compute && int(c.fb.in.N) >= c.cfg.Width {
-		return true
-	}
-	if c.occupancy == c.cfg.ROBSize {
-		e := &c.rob[c.head]
-		return !e.done && !(e.inline && e.readyAt <= now)
-	}
-	return false
+func (c *Core) batchable() bool {
+	return c.fb.valid && c.fb.in.Kind == Compute && int(c.fb.in.N) >= c.cfg.Width
 }
 
-// dispatchComputes is dispatch restricted to the batchable cases: it drains
-// compute instructions from the fetch buffer (never refilling it) and
-// accounts ROB-full stalls, exactly as dispatch would.
+// steadyCycles pays, in closed form, the run of batchable cycles starting
+// at now in which the ROB head is a compute run: each such cycle retires
+// exactly width instructions from the head run and dispatches exactly
+// width from the fetch buffer's compute batch. The run stops before end,
+// within budget (so the quota-crossing cycle is the last one paid at most),
+// and while both the head run and the fetch batch still hold a full width.
+// Returns the number of cycles paid (0: the head is not a compute run, or
+// fewer than one full cycle qualifies).
+//
+//moca:hotpath
+func (c *Core) steadyCycles(now, end event.Time, budget uint64) int {
+	w := c.cfg.Width
+	if c.occupancy == 0 {
+		return 0
+	}
+	h := &c.rob[c.head]
+	if h.kind != Compute {
+		return 0
+	}
+	// When the head run is the only slot (it is also the tail run) and
+	// holds more than width, each cycle's dispatch merges back what retire
+	// took, so the run never drains. Otherwise it drains width per cycle.
+	cycling := int(h.n) == c.occupancy && int(h.n) > w
+	avail := int(c.fb.in.N)
+	if !cycling {
+		avail = min(avail, int(h.n))
+	}
+	k := avail / w
+	if k == 0 {
+		return 0
+	}
+	// The end and budget bounds rarely bind: test them by multiplication
+	// and divide only when they do.
+	if now+event.Time(k-1)*c.cfg.Cycle >= end {
+		k = int((end - now + c.cfg.Cycle - 1) / c.cfg.Cycle)
+	}
+	if uint64(k*w) > budget {
+		if k = int(budget / uint64(w)); k == 0 {
+			return 0
+		}
+	}
+	m := k * w
+	if !cycling {
+		c.retireRun(m)
+		c.dispatchRun(m)
+	} else {
+		c.consumeComputes(m)
+	}
+	c.stats.Cycles += uint64(k)
+	c.stats.Instructions += uint64(m)
+	if c.OnRetire != nil {
+		c.OnRetire(uint64(m))
+	}
+	c.now = now + event.Time(k-1)*c.cfg.Cycle
+	return k
+}
+
+// dispatchComputes is dispatch for a batchable cycle: the fetch buffer
+// holds at least width computes, so dispatch moves min(width, free
+// entries) of them without refilling and accounts a ROB-full stall when
+// that falls short of width, exactly as dispatch would.
 //
 //moca:hotpath
 func (c *Core) dispatchComputes() {
-	for i := 0; i < c.cfg.Width; i++ {
-		if c.occupancy >= c.cfg.ROBSize {
-			c.stats.ROBFullCycles++
-			return
-		}
-		if !c.fb.valid || c.fb.in.Kind != Compute {
-			return
-		}
-		c.consumeComputeOne()
-		c.push(robEntry{kind: Compute, done: true})
+	if c.occupancy == c.cfg.ROBSize || c.dispatchRun(c.cfg.Width) < c.cfg.Width {
+		c.stats.ROBFullCycles++
 	}
 }
 
@@ -617,6 +720,9 @@ func (c *Core) prevLoadIndex(idx int) (int, bool) {
 	return 0, false
 }
 
+// push appends e in a new slot at the tail, returning its ROB index. The
+// ring has ROBSize slots and every slot holds at least one in-flight
+// instruction, so it cannot overflow.
 func (c *Core) push(e robEntry) int {
 	idx := c.tail
 	c.rob[idx] = e
@@ -624,7 +730,7 @@ func (c *Core) push(e robEntry) int {
 	if c.tail == c.cfg.ROBSize {
 		c.tail = 0
 	}
-	c.occupancy++
+	c.occupancy += int(e.n)
 	return idx
 }
 
@@ -645,8 +751,8 @@ type fetchBuf struct {
 }
 
 // peek returns the next instruction without consuming it. Compute batches
-// are surfaced one instruction at a time via consumeComputeOne. The valid
-// fetch-buffer case is split out so it inlines into dispatch.
+// are drained in runs via consumeComputes. The valid fetch-buffer case is
+// split out so it inlines into dispatch.
 //
 //moca:hotpath
 func (c *Core) peek() (Instr, bool) {
@@ -681,7 +787,7 @@ func (c *Core) refill() (Instr, bool) {
 		in.N = 1
 	}
 	c.fb = fetchBuf{in: in, valid: true}
-	return c.fb.in, true
+	return in, true
 }
 
 // nextBatch replaces the drained bbuf view with the stream's next batch:
@@ -700,9 +806,11 @@ func (c *Core) nextBatch() bool {
 
 func (c *Core) consume() { c.fb.valid = false }
 
-func (c *Core) consumeComputeOne() {
-	c.fb.in.N--
-	if c.fb.in.N <= 0 {
+// consumeComputes takes m instructions from the fetch buffer's compute
+// batch, emptying the buffer with the batch.
+func (c *Core) consumeComputes(m int) {
+	c.fb.in.N -= int32(m)
+	if c.fb.in.N == 0 {
 		c.fb.valid = false
 	}
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"moca/internal/cache"
 	"moca/internal/event"
@@ -362,5 +363,14 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	if a, b := mk(), mk(); a != b {
 		t.Errorf("two identical runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestROBEntryFillsOneLine pins the ROB slot to one 64-byte cache line: the
+// field order packs it, and a new or reordered field that spills it onto a
+// second line should be a deliberate choice.
+func TestROBEntryFillsOneLine(t *testing.T) {
+	if got := unsafe.Sizeof(robEntry{}); got != 64 {
+		t.Errorf("robEntry is %d bytes, want 64", got)
 	}
 }

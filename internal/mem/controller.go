@@ -678,8 +678,7 @@ func (c *Controller) mapAddress(r *Request) {
 
 // issueOne issues the single best command available this cycle, preferring
 // CAS (completes a request) over ACT over PRE so data flows as early as
-// possible. Returns false if no command could issue.
-// issueOne picks and issues the highest-priority ready command: the oldest
+// possible, and returns false if no command could issue. It picks the oldest
 // CAS (row hits inherently win under FR-FCFS because conflicting requests
 // are not CAS-ready), else the oldest ACT into a closed bank, else the
 // oldest PRE of a row nothing pending still wants. All three candidates
@@ -689,7 +688,6 @@ func (c *Controller) mapAddress(r *Request) {
 // claim the bus) and the PRE row-still-wanted test. The fused scan issues
 // exactly what the three separate oldest-first scans would.
 //
-//moca:hotpath
 //moca:hotpath
 func (c *Controller) issueOne(now event.Time) bool {
 	if c.qHead == nil {
