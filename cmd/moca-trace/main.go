@@ -19,6 +19,12 @@
 // recording, so replay needs the same -app (and input) it was recorded
 // with.
 //
+// A replay is an exp.Runner run fed by the trace, printed as moca-sim
+// prints it: replaying an app's ref recording gives moca-sim's output for
+// the same -app, -system and -measure, locally and with -remote. moca
+// systems are refused: MOCA places heap objects by the heap partition of
+// each recorded address, which record fixes without a class map.
+//
 // record writes the v2 block format: framed, checksummed, seekable.
 // Older v1 files (one delta/varint stream) still replay; convert turns
 // them into v2, or re-frames a v2 file with other block thresholds.
@@ -34,8 +40,10 @@ import (
 	"os"
 
 	"moca"
+	"moca/internal/cmdutil"
 	"moca/internal/cpu"
 	"moca/internal/exp"
+	"moca/internal/sim"
 	"moca/internal/trace"
 	"moca/internal/wire"
 	"moca/internal/wire/client"
@@ -287,10 +295,10 @@ func seek(args []string) {
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	appName := fs.String("app", "", "application the trace was recorded from")
-	system := fs.String("system", "ddr3", "memory system, named as for moca-sim (ddr3|rl|hbm|lp|migrate, optionally @config2/@config3); moca and heter-app need profiled classes a trace does not carry")
+	system := fs.String("system", "ddr3", "memory system, named as for moca-sim (ddr3|rl|hbm|lp|heter-app|migrate, optionally @config2/@config3); moca is refused, since a trace carries no class map")
 	measure := fs.Uint64("measure", 200_000, "measured instructions")
 	skip := fs.Uint64("skip", 0, "stream items to skip before replaying")
-	asJSON := fs.Bool("json", false, "print the full result document as JSON")
+	asJSON := fs.Bool("json", false, "print the result as moca-sim -json does")
 	loop := fs.Bool("loop", false, "restart the trace when it ends (finite trace, long run)")
 	remote := fs.String("remote", "", "push the trace to a moca-served instance at ADDR instead of simulating locally")
 	session := fs.String("session", "", "remote session token (resume key across reconnects)")
@@ -298,26 +306,28 @@ func replay(args []string) {
 	if *appName == "" || fs.NArg() != 1 {
 		usage()
 	}
+	var res *sim.Result
 	if *remote != "" {
-		replayRemote(*remote, *session, *appName, *system, *measure, fs.Arg(0), *asJSON)
-		return
+		res = replayRemote(*remote, *session, *appName, *system, *measure, fs.Arg(0))
+	} else {
+		res = replayLocal(*appName, *system, *measure, *skip, *loop, fs.Arg(0))
 	}
-	app, ok := moca.AppByName(*appName)
-	if !ok {
-		fatal("unknown application %q", *appName)
+	if err := cmdutil.Report(os.Stdout, res, *asJSON); err != nil {
+		fatal("%v", err)
 	}
-	def, err := exp.ReplaySystemByName(*system)
+}
+
+// replayLocal replays the trace at path through an exp.Runner, the
+// pipeline moca-sim runs.
+func replayLocal(appName, system string, measure, skip uint64, loop bool, path string) *sim.Result {
+	def, err := exp.SystemByName(system)
 	if err != nil {
 		fatal("%v", err)
 	}
-
-	// The stream's Err() distinguishes a trace that is simply too short
-	// from one that is corrupt; the simulator also surfaces it when a
-	// decode error ends the stream mid-run.
-	var stream moca.TraceStream
-	if *loop {
+	var stream trace.ReplayStream
+	if loop {
 		// Read once so each pass decodes from memory (no fd per pass).
-		data, err := os.ReadFile(fs.Arg(0))
+		data, err := os.ReadFile(path)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -325,67 +335,46 @@ func replay(args []string) {
 			return trace.Open(bytes.NewReader(data))
 		})
 	} else {
-		f, err := os.Open(fs.Arg(0))
+		f, err := os.Open(path)
 		if err != nil {
 			fatal("%v", err)
 		}
 		defer f.Close()
-		stream, err = trace.Open(f)
-		if err != nil {
+		if stream, err = trace.Open(f); err != nil {
 			fatal("%v", err)
 		}
 	}
-	if *skip > 0 {
+	if skip > 0 {
 		if br, ok := stream.(*trace.BlockReader); ok {
 			// v2 skips by block header, without decoding the prefix.
-			if err := br.SkipTo(*skip); err != nil {
+			if err := br.SkipTo(skip); err != nil {
 				fatal("skip: %v", err)
 			}
 		} else {
-			for i := uint64(0); i < *skip; i++ {
+			for i := uint64(0); i < skip; i++ {
 				if _, ok := stream.Next(); !ok {
 					if err := stream.Err(); err != nil {
 						fatal("skip: %v", err)
 					}
-					fatal("skip: trace ends at item %d, before %d", i, *skip)
+					fatal("skip: trace ends at item %d, before %d", i, skip)
 				}
 			}
 		}
 	}
-
-	// A moca-served trace session resolves -system through the same
-	// table, so a local replay's result is byte-identical to the same
-	// trace streamed to a server.
-	cfg := moca.DefaultSystem(def.Name, def.Modules, def.Policy)
-	sys, err := moca.NewSystem(cfg, []moca.ProcSpec{{App: app, Input: moca.Ref, Stream: stream}})
+	r := exp.NewRunner()
+	r.Measure = measure
+	res, err := r.Replay(context.Background(), def, appName, stream)
 	if err != nil {
-		fatal("%v", err)
+		fatal("replay: %v", err)
 	}
-	res, err := sys.Run(sys.SuggestedWarmup(), *measure)
-	if err != nil {
-		fatal("replay: %v (trace long enough for warmup+measure?)", err)
-	}
-	if err := stream.Err(); err != nil {
-		fatal("trace decode: %v", err)
-	}
-	if *asJSON {
-		raw, err := res.MarshalJSON()
-		if err != nil {
-			fatal("%v", err)
-		}
-		os.Stdout.Write(append(raw, '\n'))
-		return
-	}
-	fmt.Printf("replayed on %s: %d instructions, IPC %.2f, mem %.1f ns/request, mem EDP %.3e\n",
-		cfg.Name, res.TotalInstructions(), res.Cores[0].IPC(),
-		float64(res.AvgMemAccessTime())/1000, res.MemEDP())
+	return res
 }
 
 // replayRemote pushes a v2 trace into a moca-served trace session and
 // waits for the server's result. The session token is the resume key: a
 // rerun after a dropped connection or a killed process picks up from the
 // server's last acknowledged block, not from the beginning.
-func replayRemote(addr, session, appName, system string, measure uint64, path string, asJSON bool) {
+func replayRemote(addr, session, appName, system string, measure uint64, path string) *sim.Result {
 	if session == "" {
 		fatal("-remote needs -session TOKEN (the resume key)")
 	}
@@ -417,13 +406,7 @@ func replayRemote(addr, session, appName, system string, measure uint64, path st
 	if err != nil {
 		fatal("remote run: %v", err)
 	}
-	if asJSON {
-		os.Stdout.Write(append(append([]byte(nil), j.Raw...), '\n'))
-		return
-	}
-	fmt.Printf("replayed %d items remotely on %s: %d instructions, IPC %.2f, mem %.1f ns/request, mem EDP %.3e\n",
-		last.Seq, system, res.TotalInstructions(), res.Cores[0].IPC(),
-		float64(res.AvgMemAccessTime())/1000, res.MemEDP())
+	return res
 }
 
 func fatal(format string, args ...any) {

@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"moca/internal/cmdutil"
+	"moca/internal/exp"
 )
 
 // TestMain runs main instead of the tests when the test binary is started
@@ -18,33 +22,67 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runCommand runs moca-trace with args and returns its stderr and whether
-// it exited zero.
-func runCommand(t *testing.T, args ...string) (stderr string, ok bool) {
+// runCommand runs moca-trace with args and returns its stdout, its stderr
+// and whether it exited zero.
+func runCommand(t *testing.T, args ...string) (stdout, stderr string, ok bool) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "MOCA_TRACE_TEST_MAIN=1")
-	var errBuf strings.Builder
-	cmd.Stderr = &errBuf
+	var outBuf, errBuf strings.Builder
+	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
 	err := cmd.Run()
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
 		t.Fatal(err)
 	}
-	return errBuf.String(), err == nil
+	return outBuf.String(), errBuf.String(), err == nil
 }
 
-// TestReplayRefusesProfiledSystems: a local replay cannot run MOCA or
-// Heter-App, which place pages by profiled classes that a trace does not
-// carry; it exits non-zero saying so. migrate still replays.
+// TestReplayRefusesProfiledSystems: a local replay cannot run MOCA, whose
+// placement a recording fixes without a class map; it exits non-zero
+// saying so. A heter-app replay of the app's ref recording prints what
+// moca-sim prints for the same app, system and -measure, with and without
+// -json, and migrate still replays.
 func TestReplayRefusesProfiledSystems(t *testing.T) {
 	const fixture = "../../internal/trace/testdata/mcf-50k.v1"
-	for _, system := range []string{"moca", "heter-app", "moca@config3"} {
-		stderr, ok := runCommand(t, "replay", "-app", "mcf", "-measure", "20000", "-system", system, fixture)
-		if ok || !strings.Contains(stderr, "profiled classes") {
-			t.Errorf("replay -system %s: exited ok=%v, stderr %q; want a refusal naming the profiled classes", system, ok, stderr)
+	for _, system := range []string{"moca", "moca@config3"} {
+		_, stderr, ok := runCommand(t, "replay", "-app", "mcf", "-measure", "20000", "-system", system, fixture)
+		if ok || !strings.Contains(stderr, "class map") {
+			t.Errorf("replay -system %s: exited ok=%v, stderr %q; want a refusal naming the class map", system, ok, stderr)
 		}
 	}
-	if stderr, ok := runCommand(t, "replay", "-app", "mcf", "-measure", "20000", "-system", "migrate", fixture); !ok {
+	if _, stderr, ok := runCommand(t, "replay", "-app", "mcf", "-measure", "20000", "-system", "migrate", fixture); !ok {
 		t.Errorf("replay -system migrate failed: %s", stderr)
+	}
+
+	rec := filepath.Join(t.TempDir(), "mcf.v2")
+	if _, stderr, ok := runCommand(t, "record", "-app", "mcf", "-items", "400000", "-o", rec); !ok {
+		t.Fatalf("record failed: %s", stderr)
+	}
+	def, err := exp.SystemByName("heter-app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := exp.NewRunner() // moca-sim's runner at its default windows
+	r.Measure = 20_000
+	res, err := r.RunSingle(def, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, asJSON := range []bool{false, true} {
+		var want strings.Builder
+		if err := cmdutil.Report(&want, res, asJSON); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"replay", "-app", "mcf", "-measure", "20000", "-system", "heter-app", rec}
+		if asJSON {
+			args = append(args[:len(args)-1], "-json", rec)
+		}
+		got, stderr, ok := runCommand(t, args...)
+		if !ok {
+			t.Fatalf("replay -system heter-app (json %v) failed: %s", asJSON, stderr)
+		}
+		if got != want.String() {
+			t.Errorf("replay -system heter-app (json %v) printed\n%s\nwant moca-sim's\n%s", asJSON, got, want.String())
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package cmdutil holds the small pieces the moca commands share: signal
-// handling with a force-exit escape hatch, the run-cache flags and the
-// run-trace writer.
+// handling with a force-exit escape hatch, the run-cache flags, the
+// run-trace writer and the result reporter.
 package cmdutil
 
 import (

@@ -161,16 +161,16 @@ func (f *Framework) TieringClassMap(pr profile.Profile, maxWriteRatio float64) h
 }
 
 // Proc builds the simulation process spec for this application under the
-// given policy: MOCA runs get the ClassMap, every policy gets the
-// app-level class (only Heter-App uses it).
+// given policy, carrying only the instrumentation the policy reads: MOCA
+// runs get the ClassMap, Heter-App runs the app-level class, and every
+// other policy neither.
 func (ins Instrumentation) Proc(policy sim.PolicyKind, input workload.Input) sim.ProcSpec {
-	p := sim.ProcSpec{
-		App:      ins.App,
-		Input:    input,
-		AppClass: ins.AppClass,
-	}
-	if policy == sim.PolicyMOCA {
+	p := sim.ProcSpec{App: ins.App, Input: input}
+	switch policy {
+	case sim.PolicyMOCA:
 		p.Classes = ins.Classes
+	case sim.PolicyAppLevel:
+		p.AppClass = ins.AppClass
 	}
 	return p
 }

@@ -47,12 +47,7 @@ func (r *Runner) AblationThresholds(mixName string, latCands, bwCands []float64)
 			procs = append(procs, ins.Proc(sim.PolicyMOCA, workload.Ref))
 		}
 		cfg := sim.DefaultConfig("moca-threshold-sweep", sim.Heterogeneous(sim.Config1), sim.PolicyMOCA)
-		sys, err := sim.New(cfg, procs)
-		if err != nil {
-			sweepErr = err
-			return 0
-		}
-		res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
+		res, err := r.measure(r.context(), cfg, procs, "")
 		if err != nil {
 			sweepErr = err
 			return 0
@@ -176,11 +171,7 @@ func (r *Runner) AblationMigration(mixName string) (*stats.Table, error) {
 	}
 	for _, def := range defs {
 		cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
-		sys, err := sim.New(cfg, []sim.ProcSpec{ins.Proc(def.Policy, workload.Ref)})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
+		res, err := r.measure(r.context(), cfg, []sim.ProcSpec{ins.Proc(def.Policy, workload.Ref)}, "")
 		if err != nil {
 			return nil, err
 		}
@@ -196,36 +187,29 @@ func (r *Runner) AblationMigration(mixName string) (*stats.Table, error) {
 	return t, nil
 }
 
+// rowHitRate is the share of res's memory requests that hit an open row.
+func rowHitRate(res *sim.Result) float64 {
+	var hits, reqs uint64
+	for _, ch := range res.Channels {
+		hits += ch.Stats.RowHits
+		reqs += ch.Stats.Requests()
+	}
+	return float64(hits) / float64(max(reqs, 1))
+}
+
 // AblationScheduler compares FR-FCFS against FCFS on the homogeneous DDR3
 // system (Table I fixes FR-FCFS; this quantifies the choice).
 func (r *Runner) AblationScheduler(appName string) (*stats.Table, error) {
 	t := stats.NewTable(fmt.Sprintf("Ablation: memory scheduler on %s (Homogen-DDR3)", appName),
 		"scheduler", "mem access time (ns)", "row-hit rate")
 	for _, sched := range []mem.Scheduler{mem.FRFCFS, mem.FCFS} {
-		ins, err := r.Instrument(appName)
-		if err != nil {
-			return nil, err
-		}
 		cfg := sim.DefaultConfig("sched-"+sched.String(), sim.Homogeneous(mem.DDR3), sim.PolicyFixed)
 		cfg.Scheduler = sched
-		sys, err := sim.New(cfg, []sim.ProcSpec{ins.Proc(sim.PolicyFixed, workload.Ref)})
+		res, err := r.runConfig(cfg, appName)
 		if err != nil {
 			return nil, err
 		}
-		res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
-		if err != nil {
-			return nil, err
-		}
-		var hits, reqs uint64
-		for _, ch := range res.Channels {
-			hits += ch.Stats.RowHits
-			reqs += ch.Stats.Requests()
-		}
-		rate := 0.0
-		if reqs > 0 {
-			rate = float64(hits) / float64(reqs)
-		}
-		t.AddRow(sched.String(), stats.F(float64(res.AvgMemAccessTime())/1000), stats.F(rate))
+		t.AddRow(sched.String(), stats.F(float64(res.AvgMemAccessTime())/1000), stats.F(rowHitRate(res)))
 	}
 	return t, nil
 }
@@ -264,11 +248,7 @@ func (r *Runner) AblationPrefetch(apps ...string) (*stats.Table, error) {
 				// stats reflect the measured window only.
 				cfg := sim.DefaultConfig("pf", sim.Homogeneous(mem.DDR3), sim.PolicyFixed)
 				cfg.Prefetch = cache.PrefetchConfig{Enable: true}
-				sys, err := sim.New(cfg, []sim.ProcSpec{{App: spec, Input: workload.Ref}})
-				if err != nil {
-					return nil, err
-				}
-				res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
+				res, err := r.runConfig(cfg, name)
 				if err != nil {
 					return nil, err
 				}
@@ -293,31 +273,14 @@ func (r *Runner) AblationRowPolicy(apps ...string) (*stats.Table, error) {
 	t := stats.NewTable("Ablation: row-buffer policy (Homogen-DDR3)",
 		"app", "policy", "mem access time (ns)", "row-hit rate")
 	for _, name := range apps {
-		ins, err := r.Instrument(name)
-		if err != nil {
-			return nil, err
-		}
 		for _, pol := range []mem.RowPolicy{mem.OpenPage, mem.ClosedPage} {
 			cfg := sim.DefaultConfig("rowpol-"+pol.String(), sim.Homogeneous(mem.DDR3), sim.PolicyFixed)
 			cfg.RowPolicy = pol
-			sys, err := sim.New(cfg, []sim.ProcSpec{ins.Proc(sim.PolicyFixed, workload.Ref)})
+			res, err := r.runConfig(cfg, name)
 			if err != nil {
 				return nil, err
 			}
-			res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
-			if err != nil {
-				return nil, err
-			}
-			var hits, reqs uint64
-			for _, ch := range res.Channels {
-				hits += ch.Stats.RowHits
-				reqs += ch.Stats.Requests()
-			}
-			rate := 0.0
-			if reqs > 0 {
-				rate = float64(hits) / float64(reqs)
-			}
-			t.AddRow(name, pol.String(), stats.F(float64(res.AvgMemAccessTime())/1000), stats.F(rate))
+			t.AddRow(name, pol.String(), stats.F(float64(res.AvgMemAccessTime())/1000), stats.F(rowHitRate(res)))
 		}
 	}
 	return t, nil
@@ -327,20 +290,12 @@ func (r *Runner) AblationRowPolicy(apps ...string) (*stats.Table, error) {
 // interleave against page-granularity bank bits: streams lose all bank
 // parallelism under page striping.
 func (r *Runner) AblationMapping(appName string) (*stats.Table, error) {
-	ins, err := r.Instrument(appName)
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable(fmt.Sprintf("Ablation: bank interleave granularity on %s (Homogen-DDR3)", appName),
 		"mapping", "mem access time (ns)")
 	for _, stripe := range []mem.BankStripe{mem.StripeRowBuffer, mem.StripePage} {
 		cfg := sim.DefaultConfig("map-"+stripe.String(), sim.Homogeneous(mem.DDR3), sim.PolicyFixed)
 		cfg.BankStripe = stripe
-		sys, err := sim.New(cfg, []sim.ProcSpec{ins.Proc(sim.PolicyFixed, workload.Ref)})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
+		res, err := r.runConfig(cfg, appName)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,9 @@ import (
 // the framing or payload schema changes incompatibly.
 // v2: line-framed entries (see RunCache) replace v1's JSON envelope; a v1
 // file fails framing on its own slot and is evicted like any stale entry.
-const cacheFormatVersion = 2
+// v3: result keys carry an app's class and the profile window only under
+// a policy that reads them (Heter-App, MOCA).
+const cacheFormatVersion = 3
 
 // CacheMode selects how a RunCache participates in a run.
 type CacheMode int

@@ -31,7 +31,7 @@ func TestCacheRoundTrip(t *testing.T) {
 
 	r1 := fastRunner()
 	r1.Cache = openCache(t, dir, CacheReadWrite)
-	res1, err := r1.RunSingle(ddr3Def(), "mcf")
+	res1, err := r1.RunSingle(heterAppDef(), "mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Error("simulation constructed despite a warm cache")
 		return sim.New(cfg, procs)
 	})
-	res2, err := r2.RunSingle(ddr3Def(), "mcf")
+	res2, err := r2.RunSingle(heterAppDef(), "mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCacheReadMode(t *testing.T) {
 	keys := map[string]string{}
 	for _, app := range apps {
 		before := snapshotDir(t, dir)
-		if _, err := r1.RunSingle(ddr3Def(), app); err != nil {
+		if _, err := r1.RunSingle(heterAppDef(), app); err != nil {
 			t.Fatal(err)
 		}
 		for name := range snapshotDir(t, dir) {
@@ -185,7 +185,7 @@ func TestCacheReadMode(t *testing.T) {
 	c2 := openCache(t, dir, CacheRead)
 	r2.Cache = c2
 	for _, app := range apps {
-		if _, err := r2.RunSingle(ddr3Def(), app); err != nil {
+		if _, err := r2.RunSingle(heterAppDef(), app); err != nil {
 			t.Fatal(err)
 		}
 	}

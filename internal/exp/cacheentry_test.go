@@ -182,7 +182,7 @@ func TestCacheV1EntriesRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	r1 := fastRunner()
 	r1.Cache = openCache(t, dir, CacheReadWrite)
-	want, err := r1.RunSingle(ddr3Def(), "mcf")
+	want, err := r1.RunSingle(heterAppDef(), "mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCacheV1EntriesRecomputed(t *testing.T) {
 	r2 := fastRunner()
 	c2 := openCache(t, dir, CacheReadWrite)
 	r2.Cache = c2
-	got, err := r2.RunSingle(ddr3Def(), "mcf")
+	got, err := r2.RunSingle(heterAppDef(), "mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCacheV1EntriesRecomputed(t *testing.T) {
 
 	r3 := fastRunner()
 	r3.Cache = openCache(t, dir, CacheRead)
-	if _, err := r3.RunSingle(ddr3Def(), "mcf"); err != nil {
+	if _, err := r3.RunSingle(heterAppDef(), "mcf"); err != nil {
 		t.Fatal(err)
 	}
 	if st := r3.Stats(); st.DiskHits != 1 || st.ProfileDiskHits != 1 || st.Simulated != 0 {

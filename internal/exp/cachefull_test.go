@@ -102,7 +102,7 @@ func TestRunnerStoreFailureRetryable(t *testing.T) {
 	r.Measure = 20_000
 	r.FW.ProfileWindow = 100_000
 	r.Cache = openCache(t, dir, CacheReadWrite)
-	def := ddr3Def()
+	def := heterAppDef()
 
 	orig := writeTemp
 	swapWriteTemp(t, fullDisk("result"))

@@ -111,11 +111,7 @@ func (r *Runner) ExtensionPCM(mixName string) (*stats.Table, error) {
 	}
 	cfg := sim.DefaultConfig("moca-tier-write-aware", variants[2].Modules, sim.PolicyMOCA)
 	cfg.Chains = tieringChains
-	sys, err := sim.New(cfg, procs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sys.Run(sys.SuggestedWarmup(), r.Measure)
+	res, err := r.measure(r.context(), cfg, procs, "")
 	if err != nil {
 		return nil, err
 	}

@@ -158,7 +158,7 @@ func mixNames() []string {
 func (r *Runner) multiGrids() (memPerf, memEDP, sysPerf, sysEDP *stats.Grid, err error) {
 	systems := StandardSystems()
 	mixes := workload.Mixes()
-	if err := r.warmMixes(systems, mixes); err != nil {
+	if err := r.warm(systems, "mix/", mixes); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	names := mixNames()
@@ -253,7 +253,7 @@ func (r *Runner) configSweepGrids() (perf, edp *stats.Grid, err error) {
 			SystemDef{Name: hc.String() + "/MOCA", Modules: mods, Policy: sim.PolicyMOCA},
 		)
 	}
-	if err := r.warmMixes(systems, mixes); err != nil {
+	if err := r.warm(systems, "mix/", mixes); err != nil {
 		return nil, nil, err
 	}
 

@@ -27,15 +27,16 @@ import (
 
 // resultKey is the canonical identity of one measured simulation: the
 // fully resolved system configuration (minus presentation-only fields),
-// the per-core process specs carrying the instrumentation fingerprint
-// (ClassMap + AppClass), and the windows. appendResultKey writes its
-// encoding; the key tests marshal it as the reference.
+// the per-core process specs carrying the instrumentation the policy
+// reads (ClassMap under MOCA, AppClass under Heter-App), and the windows,
+// the profile window only under those two policies. appendResultKey
+// writes its encoding; the key tests marshal it as the reference.
 type resultKey struct {
 	Kind    string         `json:"kind"` // "result"
 	Cfg     sim.Config     `json:"cfg"`
 	Procs   []sim.ProcSpec `json:"procs"`
 	Measure uint64         `json:"measure"`
-	Window  uint64         `json:"profile_window"`
+	Window  uint64         `json:"profile_window,omitempty"`
 	// Metrics records whether the run carries an obs snapshot: a cached
 	// metrics-off result must not satisfy a metrics-on request.
 	Metrics bool `json:"metrics"`
@@ -85,8 +86,10 @@ func appendResultKey(b, cfgKey []byte, procKeys [][]byte, measure, profileWindow
 	}
 	b = append(b, `],"measure":`...)
 	b = strconv.AppendUint(b, measure, 10)
-	b = append(b, `,"profile_window":`...)
-	b = strconv.AppendUint(b, profileWindow, 10)
+	if profileWindow != 0 {
+		b = append(b, `,"profile_window":`...)
+		b = strconv.AppendUint(b, profileWindow, 10)
+	}
 	b = append(b, `,"metrics":`...)
 	b = strconv.AppendBool(b, metrics)
 	return append(b, '}')

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -65,11 +66,13 @@ func keyDiff(got, want string) string {
 
 // TestRunnerKeysMatchReference: the Runner splices each run's cache key
 // from fragments it encodes once per system and per app. For every run of
-// Headline(), of the Fig. 14/15 capacity sweep and of chain-override
-// systems, with metrics off and on, with fragments encoded by concurrent
-// runs and reused, the key must be byte-equal to json.Marshal of
-// resultKey over the config and process specs the run simulates, and to
-// ResultCacheKey's.
+// Headline(), of the Fig. 14/15 capacity sweep, of migrate and of
+// chain-override systems, with metrics off and on, with fragments encoded
+// by concurrent runs and reused, the key must be byte-equal to
+// json.Marshal of resultKey over the config and process specs the run
+// simulates, and to ResultCacheKey's. The key names the profile window,
+// and a process spec a class, only under Heter-App and MOCA, the
+// policies that read them.
 func TestRunnerKeysMatchReference(t *testing.T) {
 	type run struct {
 		def  SystemDef
@@ -84,7 +87,7 @@ func TestRunnerKeysMatchReference(t *testing.T) {
 			runs = append(runs, run{def, m.Apps})
 		}
 	}
-	for _, name := range []string{"moca@config2", "moca@config3", "heter-app@config2", "heter-app@config3"} {
+	for _, name := range []string{"moca@config2", "moca@config3", "heter-app@config2", "heter-app@config3", "migrate", "migrate@config3"} {
 		def, err := SystemByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -123,18 +126,36 @@ func TestRunnerKeysMatchReference(t *testing.T) {
 	r.FW.ProfileWindow = 50_000
 	r.Cache = openCache(t, t.TempDir(), CacheRead)
 	check := func(rn run) error {
-		cfg, procs, key, err := r.prepare(context.Background(), rn.def, rn.apps)
+		cfg, procs, ins, err := r.prepare(context.Background(), rn.def, rn.apps)
 		if err != nil {
 			return err
 		}
-		want, err := referenceResultKey(cfg, procs, r.Measure, r.FW.ProfileWindow)
+		key, err := r.resultCacheKey(rn.def, cfg, procs, ins)
 		if err != nil {
 			return err
+		}
+		var window uint64
+		switch rn.def.Policy {
+		case sim.PolicyAppLevel, sim.PolicyMOCA:
+			window = r.FW.ProfileWindow
+		default:
+			for _, p := range procs {
+				if p.Classes != nil || p.AppClass != 0 {
+					return fmt.Errorf("%s on %v: a %v process spec carries a class", MemoKey(rn.def, ""), rn.apps, rn.def.Policy)
+				}
+			}
+		}
+		want, err := referenceResultKey(cfg, procs, r.Measure, window)
+		if err != nil {
+			return err
+		}
+		if named := strings.Contains(want, `"profile_window"`); named != (window != 0) {
+			return fmt.Errorf("%s on %v: the reference key names the profile window: %v", MemoKey(rn.def, ""), rn.apps, named)
 		}
 		if string(key) != want {
 			return fmt.Errorf("%s on %v: Runner key differs from the reference; %s", MemoKey(rn.def, ""), rn.apps, keyDiff(string(key), want))
 		}
-		if k, err := ResultCacheKey(cfg, procs, r.Measure, r.FW.ProfileWindow); err != nil || k != want {
+		if k, err := ResultCacheKey(cfg, procs, r.Measure, window); err != nil || k != want {
 			return fmt.Errorf("%s on %v: ResultCacheKey differs from the reference (err %v); %s", MemoKey(rn.def, ""), rn.apps, err, keyDiff(k, want))
 		}
 		return nil
@@ -254,15 +275,13 @@ func BenchmarkResultCacheKey(b *testing.B) {
 	r.Cache = c
 	def := StandardSystems()[5] // MOCA
 	apps := workload.Mixes()[0].Apps
-	cfg, procs, want, err := r.prepare(context.Background(), def, apps)
+	cfg, procs, ins, err := r.prepare(context.Background(), def, apps)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ins := make([]*appInstr, len(apps))
-	for i, app := range apps {
-		if ins[i], err = r.instrumentCtx(context.Background(), app); err != nil {
-			b.Fatal(err)
-		}
+	want, err := r.resultCacheKey(def, cfg, procs, ins)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("ResultCacheKey", func(b *testing.B) {
 		b.ReportAllocs()

@@ -49,7 +49,7 @@ func TestRunnerConcurrentObservability(t *testing.T) {
 	if !ok {
 		t.Fatal("mix 2L1B1N missing")
 	}
-	if err := r.warmMixes(systems, []workload.Mix{mix}); err != nil {
+	if err := r.warm(systems, "mix/", []workload.Mix{mix}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,6 +16,7 @@ import (
 
 	"moca/internal/classify"
 	"moca/internal/core"
+	"moca/internal/cpu"
 	"moca/internal/mem"
 	"moca/internal/obs"
 	"moca/internal/profile"
@@ -114,6 +115,10 @@ type appInstr struct {
 	procKey [2][]byte // guarded by Runner.mu
 }
 
+// readsInstr reports whether policy p reads instrumentation: only its runs
+// profile their apps, and only its result keys name a class and a window.
+func readsInstr(p sim.PolicyKind) bool { return p == sim.PolicyAppLevel || p == sim.PolicyMOCA }
+
 // Runner executes simulations with caching (profiles and results are
 // reused across figures, as Figs. 10-13 share the same runs) and bounded
 // parallelism across independent runs. Runs are deduplicated: concurrent
@@ -160,6 +165,7 @@ type Runner struct {
 	// (configKey), keyed by appendSystemKey: the system part of the memo
 	// key, of which simulate's sim.Config is a pure function.
 	cfgKeys map[string][]byte
+	bare    map[string]*appInstr // each app's bareInstr entry
 
 	simulated, profiled, memoryHits, diskHits, profileDiskHits atomic.Uint64
 }
@@ -200,9 +206,7 @@ func (r *Runner) Instrument(appName string) (core.Instrumentation, error) {
 
 // InstrumentCtx is Instrument with a per-caller context: a caller whose
 // ctx fires stops waiting on the shared profiling flight without
-// disturbing it. Before this existed, a canceled simulation joined to a
-// profiling flight sat parked until the whole profile finished, because
-// Instrument only watched the runner-level context.
+// disturbing it.
 func (r *Runner) InstrumentCtx(ctx context.Context, appName string) (core.Instrumentation, error) {
 	a, err := r.instrumentCtx(ctx, appName)
 	if err != nil {
@@ -328,6 +332,40 @@ func (r *Runner) RunMixCtx(ctx context.Context, def SystemDef, mix workload.Mix)
 	return r.run(ctx, def, "mix/"+mix.Name, mix.Apps)
 }
 
+// Replay is RunSingle's run of app on def with its instructions read
+// from stream, a recording of app's ref input; a stream error fails it. A
+// recording's identity is known only when its stream ends, so no key
+// names a replay: it is never memoized, looked up or stored, and ticks no
+// OnProgress. MOCA is refused (CheckReplay).
+func (r *Runner) Replay(ctx context.Context, def SystemDef, app string, stream cpu.Stream) (res *sim.Result, err error) {
+	if err := CheckReplay(def); err != nil {
+		return nil, err
+	}
+	defer catchPanic("replay/"+app, &err)
+	cfg, procs, _, err := r.prepare(ctx, def, []string{app})
+	if err == nil {
+		procs[0].Stream = stream
+		res, err = r.measure(ctx, cfg, procs, "")
+	}
+	if s, ok := stream.(interface{ Err() error }); ok && err == nil {
+		err = s.Err()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("exp: replay/%s on %s: %w", app, def.Name, err)
+	}
+	return res, nil
+}
+
+// CheckReplay refuses a replay under MOCA, which classes each heap object
+// by its address's heap partition: the recording fixed that, and a trace
+// carries no class map to check it against.
+func CheckReplay(def SystemDef) error {
+	if def.Policy != sim.PolicyMOCA {
+		return nil
+	}
+	return fmt.Errorf("exp: %s cannot replay a trace: MOCA classes are fixed by the heap addresses a recording was made with, and a trace carries no class map to check them against; replay on heter-app, migrate or a homogeneous system", def.Name)
+}
+
 // run is the deduplicated entry point: per-key singleflight over the
 // in-memory memo, backed by the persistent cache. The first caller for a
 // key registers a flight; concurrent callers join it and share the
@@ -386,7 +424,7 @@ func (r *Runner) run(ctx context.Context, def SystemDef, key string, apps []stri
 		r.flights[memoKey] = f
 		instrumented := true
 		for _, app := range apps {
-			if _, ok := r.instr[app]; !ok {
+			if _, ok := r.instr[app]; !ok && readsInstr(def.Policy) {
 				instrumented = false
 				break
 			}
@@ -482,11 +520,15 @@ func catchPanic(memoKey string, err *error) {
 // simulate. Panics surface as errors carrying the run's key.
 func (r *Runner) lookup(ctx context.Context, def SystemDef, memoKey string, apps []string) (res *sim.Result, miss *prepared, err error) {
 	defer catchPanic(memoKey, &err)
-	cfg, procs, cacheKey, err := r.prepare(ctx, def, apps)
+	cfg, procs, ins, err := r.prepare(ctx, def, apps)
 	if err != nil {
 		return nil, nil, err
 	}
+	var cacheKey []byte
 	if r.Cache != nil {
+		if cacheKey, err = r.resultCacheKey(def, cfg, procs, ins); err != nil {
+			return nil, nil, err
+		}
 		if cached, ok := r.Cache.LoadResult(cacheKey); ok {
 			cached.Name = def.Name // presentational; excluded from the key
 			r.diskHits.Add(1)
@@ -507,22 +549,9 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 		}
 	}
 
-	cfg := p.cfg
-	var sys *sim.System
-	if r.OnProgress != nil {
-		cfg.Progress = func(done, total uint64) {
-			r.OnProgress(memoKey, done, total, sys.ObsSnapshot)
-		}
-	}
-	sys, err = newSystem(cfg, p.procs)
-	if err != nil {
+	if res, err = r.measure(ctx, p.cfg, p.procs, memoKey); err != nil {
 		return nil, err
 	}
-	res, err = sys.RunContext(ctx, sys.SuggestedWarmup(), r.Measure)
-	if err != nil {
-		return nil, err
-	}
-	r.simulated.Add(1)
 	if r.Cache != nil {
 		// Spill immediately so a later crash resumes from this run.
 		if err := r.Cache.StoreResult(p.cacheKey, res); err != nil {
@@ -532,13 +561,50 @@ func (r *Runner) simulate(ctx context.Context, def SystemDef, memoKey string, ap
 	return res, nil
 }
 
+// measure simulates procs on cfg for r.Measure instructions per core
+// after the suggested warm-up, ticking OnProgress as memoKey if not "".
+func (r *Runner) measure(ctx context.Context, cfg sim.Config, procs []sim.ProcSpec, memoKey string) (*sim.Result, error) {
+	var sys *sim.System
+	if r.OnProgress != nil && memoKey != "" {
+		cfg.Progress = func(done, total uint64) {
+			r.OnProgress(memoKey, done, total, sys.ObsSnapshot)
+		}
+	}
+	sys, err := newSystem(cfg, procs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sys.RunContext(ctx, sys.SuggestedWarmup(), r.Measure)
+	if err != nil {
+		return nil, err
+	}
+	r.simulated.Add(1)
+	return res, nil
+}
+
+// runConfig simulates apps, prepared for cfg's policy, on cfg, a system an
+// ablation varies beyond what a SystemDef names; it is never cached.
+func (r *Runner) runConfig(cfg sim.Config, apps ...string) (*sim.Result, error) {
+	_, procs, _, err := r.prepare(r.context(), SystemDef{Policy: cfg.Policy}, apps)
+	if err != nil {
+		return nil, err
+	}
+	return r.measure(r.context(), cfg, procs, "")
+}
+
 // prepare resolves def's run of apps to the config and process specs
-// simulate runs and, with a persistent cache, the run's RunCache key.
-func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg sim.Config, procs []sim.ProcSpec, cacheKey []byte, err error) {
-	ins := make([]*appInstr, len(apps))
+// simulate runs, and ins[i] to app i's entry: instrumented (profiling it
+// on first use) if def's policy reads that, bare otherwise.
+func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr, err error) {
+	ins = make([]*appInstr, len(apps))
 	procs = make([]sim.ProcSpec, len(apps))
 	for i, app := range apps {
-		if ins[i], err = r.instrumentCtx(ctx, app); err != nil {
+		if readsInstr(def.Policy) {
+			ins[i], err = r.instrumentCtx(ctx, app)
+		} else {
+			ins[i], err = r.bareInstr(app)
+		}
+		if err != nil {
 			return sim.Config{}, nil, nil, err
 		}
 		procs[i] = ins[i].ins.Proc(def.Policy, workload.Ref)
@@ -546,23 +612,44 @@ func (r *Runner) prepare(ctx context.Context, def SystemDef, apps []string) (cfg
 	cfg = sim.DefaultConfig(def.Name, def.Modules, def.Policy)
 	cfg.Chains = def.Chains
 	cfg.Obs = r.Obs
-	if r.Cache != nil {
-		cacheKey, err = r.resultCacheKey(def, cfg, procs, ins)
+	return cfg, procs, ins, nil
+}
+
+// bareInstr returns app's bare entry: an Instrumentation carrying only
+// the app spec, all that a policy which reads no instrumentation needs.
+func (r *Runner) bareInstr(app string) (*appInstr, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if a, ok := r.bare[app]; ok {
+		return a, nil
 	}
-	return cfg, procs, cacheKey, err
+	var spec workload.AppSpec
+	if a, ok := r.instr[app]; ok {
+		spec = a.ins.App // ByName builds the whole suite to find one spec
+	} else if spec, ok = workload.ByName(app); !ok {
+		return nil, fmt.Errorf("exp: unknown app %q", app)
+	}
+	if r.bare == nil {
+		r.bare = make(map[string]*appInstr)
+	}
+	r.bare[app] = &appInstr{ins: core.Instrumentation{App: spec}}
+	return r.bare[app], nil
 }
 
 // resultCacheKey returns the result key (resultKey) of prepare's run of
-// def under r.Measure and r.FW.ProfileWindow, where procs[i] is the
-// process spec of the app in ins[i]. It splices fragments this runner
-// encodes once, under r.mu: one per system (cfgKeys) and one per app and
+// def under r.Measure and r.FW.ProfileWindow (if def's policy reads it),
+// given prepare's procs and ins. It splices fragments this runner encodes
+// once, under r.mu: one per system (cfgKeys) and one per app entry and
 // MOCA-or-not (appInstr.procKey).
 func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) ([]byte, error) {
 	var sysBuf [160]byte
 	sys := appendSystemKey(sysBuf[:0], def)
-	moca := 0
+	moca, window := 0, uint64(0)
 	if def.Policy == sim.PolicyMOCA {
 		moca = 1
+	}
+	if readsInstr(def.Policy) {
+		window = r.FW.ProfileWindow
 	}
 	var procBuf [4][]byte
 	procKeys := procBuf[:0]
@@ -589,7 +676,7 @@ func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcS
 		procKeys = append(procKeys, a.procKey[moca])
 	}
 	r.mu.Unlock()
-	return appendResultKey(nil, cfgKey, procKeys, r.Measure, r.FW.ProfileWindow, cfg.Obs.Metrics), nil
+	return appendResultKey(nil, cfgKey, procKeys, r.Measure, window, cfg.Obs.Metrics), nil
 }
 
 // MemoKey names one run of def in a Runner's memo, its Results and its
@@ -727,52 +814,35 @@ func runTask(i int, task func() error) (err error) {
 	return task()
 }
 
-// warmSingles runs every app alone on every system in parallel, after
-// profiling each app once, so the figures' sequential reads hit the memo.
+// warmSingles runs every app alone on every system in parallel (warm).
 func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
-	ctx := r.context()
-	var tasks []func() error
-	// Profile serially first: instrumentation is shared across systems.
-	for _, app := range apps {
-		if _, err := r.Instrument(app); err != nil {
-			return err
-		}
+	runs := make([]workload.Mix, len(apps))
+	for i, app := range apps {
+		runs[i] = workload.Mix{Name: app, Apps: []string{app}}
 	}
-	for _, def := range systems {
-		for _, app := range apps {
-			def, app := def, app
-			tasks = append(tasks, func() error {
-				_, err := r.run(ctx, def, "single/"+app, []string{app})
-				return err
-			})
-		}
-	}
-	return r.parallel(ctx, tasks)
+	return r.warm(systems, "single/", runs)
 }
 
-// warmMixes is warmSingles for the 4-app mixes: it profiles every app the
-// mixes use once, then runs every mix on every system in parallel.
-func (r *Runner) warmMixes(systems []SystemDef, mixes []workload.Mix) error {
+// warm runs each of runs, keyed kind+Name, on every system in parallel so
+// the figures' sequential reads hit the memo. If a system reads
+// instrumentation, it first profiles the apps serially, for the parallel
+// runs to share.
+func (r *Runner) warm(systems []SystemDef, kind string, runs []workload.Mix) error {
+	if slices.ContainsFunc(systems, func(def SystemDef) bool { return readsInstr(def.Policy) }) {
+		for _, job := range runs {
+			for _, app := range job.Apps {
+				if _, err := r.Instrument(app); err != nil {
+					return err
+				}
+			}
+		}
+	}
 	ctx := r.context()
-	appSet := map[string]bool{}
-	for _, m := range mixes {
-		for _, a := range m.Apps {
-			appSet[a] = true
-		}
-	}
-	for app := range appSet {
-		// Serial profiling below is deterministic per app; order across
-		// apps does not matter because each profile is independent.
-		if _, err := r.Instrument(app); err != nil {
-			return err
-		}
-	}
 	var tasks []func() error
 	for _, def := range systems {
-		for _, m := range mixes {
-			def, m := def, m
+		for _, job := range runs {
 			tasks = append(tasks, func() error {
-				_, err := r.run(ctx, def, "mix/"+m.Name, m.Apps)
+				_, err := r.run(ctx, def, kind+job.Name, job.Apps)
 				return err
 			})
 		}

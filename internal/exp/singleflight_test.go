@@ -15,6 +15,12 @@ func ddr3Def() SystemDef {
 	return SystemDef{Name: SysDDR3, Modules: sim.Homogeneous(mem.DDR3), Policy: sim.PolicyFixed}
 }
 
+// heterAppDef is the Heter-App system: its runs read each app's
+// application-level class, so they profile their apps.
+func heterAppDef() SystemDef {
+	return SystemDef{Name: SysHeterApp, Modules: sim.Heterogeneous(sim.Config1), Policy: sim.PolicyAppLevel}
+}
+
 // swapNewSystem replaces the simulator constructor seam for one test and
 // restores it afterwards.
 func swapNewSystem(t *testing.T, fn func(sim.Config, []sim.ProcSpec) (*sim.System, error)) {
@@ -164,14 +170,17 @@ func runConcurrently(t *testing.T, r *Runner, n int, def SystemDef, app string) 
 
 // TestDiskHitSingleflight: concurrent requests for one key that the
 // persistent cache holds read the entry once, whether the first caller
-// looks it up itself (the app is already instrumented) or its flight
-// profiles first, and share that one result.
+// looks it up itself (the app is already instrumented, or the policy
+// reads no instrumentation) or its flight profiles first, and share that
+// one result.
 func TestDiskHitSingleflight(t *testing.T) {
 	dir := t.TempDir()
 	warm := fastRunner()
 	warm.Cache = openCache(t, dir, CacheReadWrite)
-	if _, err := warm.RunSingle(ddr3Def(), "mcf"); err != nil {
-		t.Fatal(err)
+	for _, def := range []SystemDef{heterAppDef(), ddr3Def()} {
+		if _, err := warm.RunSingle(def, "mcf"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, instrumented := range []bool{true, false} {
 		r := fastRunner()
@@ -185,7 +194,7 @@ func TestDiskHitSingleflight(t *testing.T) {
 		before := c.Stats()
 		calls := countingNewSystem(t)
 		const n = 8
-		runConcurrently(t, r, n, ddr3Def(), "mcf")
+		runConcurrently(t, r, n, heterAppDef(), "mcf")
 		if *calls != 0 {
 			t.Errorf("instrumented=%v: %d simulations constructed, want 0", instrumented, *calls)
 		}
@@ -203,6 +212,19 @@ func TestDiskHitSingleflight(t *testing.T) {
 			t.Errorf("instrumented=%v: %d cache hits and %d misses, want %d and 0",
 				instrumented, got, c.Stats().Misses, wantHits)
 		}
+	}
+
+	r := fastRunner()
+	c := openCache(t, dir, CacheRead)
+	r.Cache = c
+	calls := countingNewSystem(t)
+	runConcurrently(t, r, 8, ddr3Def(), "mcf")
+	if st := r.Stats(); *calls != 0 || st.DiskHits != 1 || st.MemoryHits != 7 || st.Profiled != 0 || st.ProfileDiskHits != 0 {
+		t.Errorf("Fixed run: %d simulations, DiskHits=%d MemoryHits=%d Profiled=%d ProfileDiskHits=%d, want 0, 1/7/0/0",
+			*calls, st.DiskHits, st.MemoryHits, st.Profiled, st.ProfileDiskHits)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("Fixed run: %d cache hits and %d misses, want 1 and 0", st.Hits, st.Misses)
 	}
 }
 

@@ -49,19 +49,3 @@ func SystemByName(name string) (SystemDef, error) {
 		return SystemDef{}, fmt.Errorf("exp: unknown system %q", name)
 	}
 }
-
-// ReplaySystemByName is SystemByName for trace replays (moca-trace replay
-// and moca-served's TRACE_START). A replay runs one recorded stream with
-// no profiling run behind it, so its process carries no class map and no
-// application class; MOCA and Heter-App place pages by exactly those, and
-// a replay under them would silently be neither. They are refused.
-func ReplaySystemByName(name string) (SystemDef, error) {
-	def, err := SystemByName(name)
-	if err != nil {
-		return SystemDef{}, err
-	}
-	if def.Policy == sim.PolicyMOCA || def.Policy == sim.PolicyAppLevel {
-		return SystemDef{}, fmt.Errorf("exp: system %q places pages by profiled classes, which a trace replay does not carry; replay on migrate or a homogeneous system", name)
-	}
-	return def, nil
-}

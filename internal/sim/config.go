@@ -116,15 +116,15 @@ type ProcSpec struct {
 	// Input selects train or ref data.
 	Input workload.Input
 	// Classes is the MOCA instrumentation (nil outside MOCA runs).
-	Classes heap.ClassMap
-	// AppClass is the application-level class for the Heter-App policy.
-	AppClass classify.Class
+	Classes heap.ClassMap `json:",omitempty"`
+	// AppClass is the application-level class (zero outside Heter-App).
+	AppClass classify.Class `json:",omitempty"`
 	// NamingDepth for the heap (default 5; the naming ablation uses 1).
 	NamingDepth int
-	// Stream, if non-nil, replaces the application's built-in generator
-	// (trace replay). The App is still instantiated so the heap layout
-	// matches the addresses in the stream: a trace must be replayed with
-	// the same App spec, input, and Classes it was recorded under.
+	// Stream, if non-nil, replaces the generator of the App spec and input
+	// it was recorded from (trace replay). Placement follows the stream's
+	// addresses: under MOCA a heap object's class is its address's heap
+	// partition (heap.PartitionClassOf), fixed by the recording.
 	Stream cpu.Stream
 }
 

@@ -33,6 +33,34 @@ func traceStartSpec() wire.TraceStart {
 	}
 }
 
+// recordRef records items stream items of app's ref-input generator to a
+// v2 block trace of blockItems-item blocks (0 = default) in a temporary
+// file, as moca-trace record records it, and returns the file's path.
+func recordRef(t *testing.T, app workload.AppSpec, items uint64, blockItems int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), app.Name+".trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	inst, err := workload.Instantiate(app.ForInput(workload.Ref), heap.New(heap.Config{}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw, err := trace.NewBlockWriterSize(f, blockItems, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Record(bw, inst.Stream(), items); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestTraceStreamResume is the trace-streaming acceptance test: a client
 // pushes a v2 block trace into a server-side simulation, drops the TCP
 // connection abruptly mid-corpus, reconnects under the same session
@@ -64,29 +92,7 @@ func TestTraceStreamResume(t *testing.T) {
 	// fetches past the final quota crossing.
 	const blockItems = 4096
 	total := warm + testMeasure + 50_000
-	path := filepath.Join(t.TempDir(), "mcf.trace")
-	func() {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		scratch := heap.New(heap.Config{})
-		app, err := workload.Instantiate(appSpec.ForInput(workload.Ref), scratch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bw, err := trace.NewBlockWriterSize(f, blockItems, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := trace.Record(bw, app.Stream(), total); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	path := recordRef(t, appSpec, total, blockItems)
 
 	// Local reference: the same simulation fed from the same trace file.
 	want := func() []byte {
@@ -320,24 +326,26 @@ func TestTraceSessionRejectsLZEraBlocks(t *testing.T) {
 	}
 }
 
-// TestTraceStartRefusesProfiledSystems: a trace session cannot run MOCA or
-// Heter-App, which place pages by the profiled classes a replayed stream
-// does not carry. TRACE_START for them is refused with CodeBadReq before
-// any session exists; migrate and the homogeneous systems still open one.
+// TestTraceStartRefusesProfiledSystems: a trace session cannot run MOCA,
+// whose placement a recording fixes without a class map. TRACE_START for
+// it is refused with CodeBadReq before any session exists; migrate still
+// opens one. A heter-app session fed the app's ref recording returns the
+// RESULT a SUBMIT of the same app, system and measure returns, byte for
+// byte.
 func TestTraceStartRefusesProfiledSystems(t *testing.T) {
-	srv, addr := startServer(t, Config{DrainTimeout: time.Second, TraceIdleTimeout: time.Minute})
+	srv, addr := startServer(t, Config{DrainTimeout: time.Second, TraceIdleTimeout: time.Minute, ProfileWindow: testWindow})
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, system := range []string{"moca", "heter-app", "moca@config2"} {
+	for _, system := range []string{"moca", "moca@config2"} {
 		spec := traceStartSpec()
 		spec.Session, spec.System = "refused-"+system, system
 		_, _, err := c.TraceStart(spec)
 		var re *client.RemoteError
-		if !errors.As(err, &re) || re.Code != wire.CodeBadReq || !strings.Contains(re.Msg, "profiled classes") {
-			t.Errorf("TRACE_START on %s: %v, want %s naming the profiled classes", system, err, wire.CodeBadReq)
+		if !errors.As(err, &re) || re.Code != wire.CodeBadReq || !strings.Contains(re.Msg, "class map") {
+			t.Errorf("TRACE_START on %s: %v, want %s naming the class map", system, err, wire.CodeBadReq)
 		}
 	}
 	srv.mu.Lock()
@@ -350,5 +358,31 @@ func TestTraceStartRefusesProfiledSystems(t *testing.T) {
 	spec.Session, spec.System = "accepted-migrate", "migrate"
 	if _, _, err := c.TraceStart(spec); err != nil {
 		t.Fatalf("TRACE_START on migrate: %v", err)
+	}
+
+	path := recordRef(t, workload.MCF(), 400_000, 0)
+	spec = traceStartSpec()
+	spec.Session, spec.System = "accepted-heter-app", "heter-app"
+	j, pos, err := c.TraceStart(spec)
+	if err != nil {
+		t.Fatalf("TRACE_START on heter-app: %v", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := c.PushTrace(j, f, pos, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TraceEnd(context.Background(), j); err != nil {
+		t.Fatalf("heter-app session: %v", err)
+	}
+	_, sj, err := c.Run(context.Background(), wire.Submit{System: "heter-app", App: "mcf", Measure: testMeasure}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Raw) == 0 || !bytes.Equal(j.Raw, sj.Raw) {
+		t.Errorf("heter-app session RESULT differs from the SUBMIT's:\nsession %s\nsubmit  %s", j.Raw, sj.Raw)
 	}
 }

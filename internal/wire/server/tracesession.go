@@ -9,7 +9,6 @@ import (
 
 	"moca/internal/cpu"
 	"moca/internal/exp"
-	"moca/internal/sim"
 	"moca/internal/trace"
 	"moca/internal/wire"
 	"moca/internal/workload"
@@ -128,13 +127,15 @@ func (s *Server) traceSession(c *conn, start wire.TraceStart) (*traceSession, *w
 			s.mu.Unlock()
 			return nil, &wire.ErrorMsg{ID: start.ID, Code: wire.CodeDraining, Msg: "server is shutting down"}
 		}
-		def, err := exp.ReplaySystemByName(start.System)
+		def, err := exp.SystemByName(start.System)
+		if err == nil {
+			err = exp.CheckReplay(def)
+		}
 		if err != nil {
 			s.mu.Unlock()
 			return nil, &wire.ErrorMsg{ID: start.ID, Code: wire.CodeBadReq, Msg: err.Error()}
 		}
-		appSpec, ok := workload.ByName(start.App)
-		if !ok {
+		if _, ok := workload.ByName(start.App); !ok {
 			s.mu.Unlock()
 			return nil, &wire.ErrorMsg{ID: start.ID, Code: wire.CodeBadReq, Msg: fmt.Sprintf("unknown application %q", start.App)}
 		}
@@ -157,7 +158,7 @@ func (s *Server) traceSession(c *conn, start wire.TraceStart) (*traceSession, *w
 		s.traces[start.Session] = ts
 		s.mu.Unlock()
 		//moca:gorountracked session lifetime is tracked by ts.done; the idle reaper or TRACE_END terminates it
-		go ts.run(ctx, def, appSpec)
+		go ts.run(ctx, def)
 	} else {
 		s.mu.Unlock()
 	}
@@ -182,17 +183,12 @@ func (s *Server) traceSession(c *conn, start wire.TraceStart) (*traceSession, *w
 	return ts, nil
 }
 
-// run executes the simulation to completion on its own goroutine.
-func (ts *traceSession) run(ctx context.Context, def exp.SystemDef, appSpec workload.AppSpec) {
+// run replays the session's stream on its own goroutine, on the runner a
+// SUBMIT of the same measure uses, so the result equals that SUBMIT's.
+func (ts *traceSession) run(ctx context.Context, def exp.SystemDef) {
 	defer close(ts.done)
-	cfg := sim.DefaultConfig(def.Name, def.Modules, def.Policy)
-	stream := &feedStream{s: ts, ctx: ctx}
-	sys, err := sim.New(cfg, []sim.ProcSpec{{App: appSpec, Input: workload.Ref, Stream: stream}})
-	if err != nil {
-		ts.runErr = err
-		return
-	}
-	res, err := sys.RunContext(ctx, sys.SuggestedWarmup(), ts.measure)
+	r := ts.srv.runner(runnerKey{measure: ts.measure, window: ts.srv.cfg.profileWindow()})
+	res, err := r.Replay(ctx, def, ts.app, &feedStream{s: ts, ctx: ctx})
 	if err != nil {
 		ts.runErr = err
 		return
