@@ -297,9 +297,9 @@ func replay(args []string) {
 	appName := fs.String("app", "", "application the trace was recorded from")
 	system := fs.String("system", "ddr3", "memory system, named as for moca-sim (ddr3|rl|hbm|lp|heter-app|migrate, optionally @config2/@config3); moca is refused, since a trace carries no class map")
 	measure := fs.Uint64("measure", 200_000, "measured instructions")
-	skip := fs.Uint64("skip", 0, "stream items to skip before replaying")
+	skip := fs.Uint64("skip", 0, "stream items to skip before replaying (local replays only)")
 	asJSON := fs.Bool("json", false, "print the result as moca-sim -json does")
-	loop := fs.Bool("loop", false, "restart the trace when it ends (finite trace, long run)")
+	loop := fs.Bool("loop", false, "restart the trace when it ends (finite trace, long run; local replays only)")
 	remote := fs.String("remote", "", "push the trace to a moca-served instance at ADDR instead of simulating locally")
 	session := fs.String("session", "", "remote session token (resume key across reconnects)")
 	fs.Parse(args)
@@ -308,6 +308,10 @@ func replay(args []string) {
 	}
 	var res *sim.Result
 	if *remote != "" {
+		if *skip > 0 || *loop {
+			// The server session replays the whole pushed file once.
+			fatal("-skip and -loop apply to local replays only, not with -remote")
+		}
 		res = replayRemote(*remote, *session, *appName, *system, *measure, fs.Arg(0))
 	} else {
 		res = replayLocal(*appName, *system, *measure, *skip, *loop, fs.Arg(0))

@@ -86,3 +86,18 @@ func TestReplayRefusesProfiledSystems(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRemoteRefusesLocalFlags: -skip and -loop position and repeat
+// a local stream; a remote session replays the whole pushed file, so the
+// combination exits non-zero before dialing (the address here has no
+// server, and a dial error would name it).
+func TestReplayRemoteRefusesLocalFlags(t *testing.T) {
+	const fixture = "../../internal/trace/testdata/mcf-50k.v1"
+	for _, flag := range [][]string{{"-skip", "10000"}, {"-loop"}} {
+		args := append([]string{"replay", "-app", "mcf", "-remote", "127.0.0.1:1", "-session", "s"}, flag...)
+		_, stderr, ok := runCommand(t, append(args, fixture)...)
+		if ok || !strings.Contains(stderr, "local replays only") {
+			t.Errorf("replay -remote %s: exited ok=%v, stderr %q; want a refusal before dialing", flag[0], ok, stderr)
+		}
+	}
+}

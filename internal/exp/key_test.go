@@ -130,7 +130,7 @@ func TestRunnerKeysMatchReference(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		key, err := r.resultCacheKey(rn.def, cfg, procs, ins)
+		key, err := r.appendResultCacheKey(nil, rn.def, cfg, procs, ins)
 		if err != nil {
 			return err
 		}
@@ -263,7 +263,8 @@ func TestUseProfile(t *testing.T) {
 }
 
 // BenchmarkResultCacheKey: one 4-core MOCA run's key, encoded whole by
-// ResultCacheKey versus spliced by a Runner whose fragments are warm.
+// ResultCacheKey versus spliced by a Runner whose fragments are warm into
+// a reused buffer, as a lookup does.
 func BenchmarkResultCacheKey(b *testing.B) {
 	r := NewRunner()
 	r.Measure = 100_000
@@ -279,7 +280,7 @@ func BenchmarkResultCacheKey(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want, err := r.resultCacheKey(def, cfg, procs, ins)
+	want, err := r.appendResultCacheKey(nil, def, cfg, procs, ins)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,10 +294,13 @@ func BenchmarkResultCacheKey(b *testing.B) {
 	})
 	b.Run("Runner", func(b *testing.B) {
 		b.ReportAllocs()
+		var buf []byte // a lookup's pooled key buffer
 		for i := 0; i < b.N; i++ {
-			if k, err := r.resultCacheKey(def, cfg, procs, ins); err != nil || len(k) != len(want) {
+			k, err := r.appendResultCacheKey(buf[:0], def, cfg, procs, ins)
+			if err != nil || len(k) != len(want) {
 				b.Fatalf("key of %d bytes (err %v), want %d", len(k), err, len(want))
 			}
+			buf = k
 		}
 	})
 }

@@ -526,17 +526,24 @@ func (r *Runner) lookup(ctx context.Context, def SystemDef, memoKey string, apps
 	}
 	var cacheKey []byte
 	if r.Cache != nil {
-		if cacheKey, err = r.resultCacheKey(def, cfg, procs, ins); err != nil {
+		kp := keyBufs.Get().(*[]byte)
+		defer keyBufs.Put(kp)
+		if *kp, err = r.appendResultCacheKey((*kp)[:0], def, cfg, procs, ins); err != nil {
 			return nil, nil, err
 		}
-		if cached, ok := r.Cache.LoadResult(cacheKey); ok {
+		if cached, ok := r.Cache.LoadResult(*kp); ok {
 			cached.Name = def.Name // presentational; excluded from the key
 			r.diskHits.Add(1)
 			return cached, nil, nil
 		}
+		cacheKey = slices.Clone(*kp) // the miss stores under it later
 	}
 	return nil, &prepared{cfg: cfg, procs: procs, cacheKey: cacheKey}, nil
 }
+
+// keyBufs recycles the buffers lookup builds result keys in: a key is
+// read only while the cache looks it up, and a miss keeps a copy.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // simulate executes one simulation of the prepared run p, first preparing
 // and looking it up (lookup) if p is nil. Panics in the simulator surface
@@ -636,12 +643,12 @@ func (r *Runner) bareInstr(app string) (*appInstr, error) {
 	return r.bare[app], nil
 }
 
-// resultCacheKey returns the result key (resultKey) of prepare's run of
-// def under r.Measure and r.FW.ProfileWindow (if def's policy reads it),
-// given prepare's procs and ins. It splices fragments this runner encodes
-// once, under r.mu: one per system (cfgKeys) and one per app entry and
-// MOCA-or-not (appInstr.procKey).
-func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) ([]byte, error) {
+// appendResultCacheKey appends to b the result key (resultKey) of
+// prepare's run of def under r.Measure and r.FW.ProfileWindow (if def's
+// policy reads it), given prepare's procs and ins. It splices fragments
+// this runner encodes once, under r.mu: one per system (cfgKeys) and one
+// per app entry and MOCA-or-not (appInstr.procKey).
+func (r *Runner) appendResultCacheKey(b []byte, def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) ([]byte, error) {
 	var sysBuf [160]byte
 	sys := appendSystemKey(sysBuf[:0], def)
 	moca, window := 0, uint64(0)
@@ -676,7 +683,7 @@ func (r *Runner) resultCacheKey(def SystemDef, cfg sim.Config, procs []sim.ProcS
 		procKeys = append(procKeys, a.procKey[moca])
 	}
 	r.mu.Unlock()
-	return appendResultKey(nil, cfgKey, procKeys, r.Measure, window, cfg.Obs.Metrics), nil
+	return appendResultKey(b, cfgKey, procKeys, r.Measure, window, cfg.Obs.Metrics), nil
 }
 
 // MemoKey names one run of def in a Runner's memo, its Results and its

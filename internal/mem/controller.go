@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"moca/internal/event"
 	"moca/internal/obs"
@@ -186,6 +187,10 @@ type Controller struct {
 	stats  ChannelStats
 	httime Timing // cached timing
 
+	// busy has bit i set iff banks[i] has pending requests (npend > 0):
+	// the FR-FCFS scans walk its set bits instead of every bank.
+	busy []uint64
+
 	// Pending requests in arrival order (intrusive list through
 	// Request.nextQ/prevQ); each request is also on its bank's list.
 	qHead, qTail *Request
@@ -243,6 +248,7 @@ func NewController(name string, q *event.Queue, cfg ChannelConfig) (*Controller,
 		cfg:    cfg,
 		q:      q,
 		banks:  make([]bank, cfg.Device.Geometry.Banks),
+		busy:   make([]uint64, (cfg.Device.Geometry.Banks+63)/64),
 		httime: cfg.Device.Timing,
 	}
 	for i := range c.banks {
@@ -427,6 +433,9 @@ func (c *Controller) onArrival(now event.Time, r *Request) {
 		b.head = r
 	}
 	b.tail = r
+	if b.npend == 0 {
+		c.busy[r.bank>>6] |= 1 << (r.bank & 63)
+	}
 	b.npend++
 	if b.openRow == int64(r.row) {
 		b.rowMatch++
@@ -480,7 +489,7 @@ func (c *Controller) armChain(now event.Time) {
 //
 //moca:hotpath
 func (c *Controller) pullWake(now event.Time) {
-	at, s := c.nextWake(now, now, false)
+	at, s := c.nextWake(now, now)
 	if at < c.wakeAt {
 		c.q.RescheduleWake(c.wake, at, s)
 		c.wakeAt = at
@@ -507,7 +516,7 @@ func (c *Controller) onWake(now event.Time) {
 		c.chainActive = false
 		return
 	}
-	at, s := c.nextWake(now, now+1, issued == c.httime.CommandsPerTick)
+	at, s := c.nextWake(now, now+1)
 	c.wake = c.q.ScheduleWake(at, s, c, opWake)
 	c.wakeAt = at
 }
@@ -544,94 +553,88 @@ func (c *Controller) refreshCatchUp(now event.Time) {
 // scheduler switches to in-order service), and the refresh deadline (bank
 // state changes there, invalidating any plan made before it). Conservative
 // early wakes are harmless no-ops — the polling model visited every edge —
-// but a late wake would diverge, so candidates are exact lower bounds.
-// cptExhausted marks an activation that used its full command budget: more
-// work may be possible on the very next edge.
+// but a late wake would diverge, so candidates are exact lower bounds. After
+// an activation lower is now+1: a command still ready at now (the activation
+// used its full budget) clamps the answer to the next edge, and otherwise
+// the scan skips the edges where nothing could issue.
 //
 //moca:hotpath
-func (c *Controller) nextWake(now, lower event.Time, cptExhausted bool) (at, s event.Time) {
-	const far = int64(1) << 62
-	best := far
-	if cptExhausted {
-		best = now + 1
-	}
+func (c *Controller) nextWake(now, lower event.Time) (at, s event.Time) {
+	best := int64(1) << 62
 	head := c.qHead
 	starved := c.cfg.Scheduler == FRFCFS && now-head.Arrive > c.cfg.StarvationLimit
 	if c.cfg.Scheduler == FCFS || starved {
 		// In-order service: only the oldest request can issue commands.
 		b := &c.banks[head.bank]
-		var cand event.Time
 		switch {
 		case b.openRow == int64(head.row):
-			cand = b.casReadyAt
-			if t := c.busFreeAt - c.casDelay(head); t > cand {
-				cand = t
+			best = b.casReadyAt
+			if t := c.busFreeAt - c.casDelay(head); t > best {
+				best = t
 			}
 		case b.openRow == -1:
 			// Covers an in-flight precharge too: actAllowedAt was raised
 			// to at least the precharge completion when PRE issued.
-			cand = b.actAllowedAt
+			best = b.actAllowedAt
 		default:
 			// Conflict; with only the head considered, no request can
 			// want the open row, so precharge is always permitted.
-			cand = b.preAllowedAt
-		}
-		if cand < best {
-			best = cand
+			best = b.preAllowedAt
 		}
 	} else {
 		// With no write asymmetry casDelay is constant, so every row hit in
 		// a bank yields the same candidate time and the first one decides.
 		uniform := c.httime.TCASWrite <= 0
-		for i := range c.banks {
-			if best <= lower {
-				// The result is max(best, lower): further banks can only
-				// lower best below the clamp, never change the answer.
-				break
-			}
-			b := &c.banks[i]
-			if b.npend == 0 {
-				continue
-			}
-			if b.openRow < 0 {
-				if b.actAllowedAt < best {
-					best = b.actAllowedAt
+	scan:
+		for w, word := range c.busy {
+			for ; word != 0; word &= word - 1 {
+				if best <= lower {
+					// The result is max(best, lower): further banks can
+					// only lower best below the clamp, never change the
+					// answer.
+					break scan
 				}
-				continue
-			}
-			if uniform {
-				// casDelay is constant, so the counter alone decides: any
-				// row hit yields the same candidate as the first one.
-				if b.rowMatch > 0 {
+				b := &c.banks[w<<6|bits.TrailingZeros64(word)]
+				if b.openRow < 0 {
+					if b.actAllowedAt < best {
+						best = b.actAllowedAt
+					}
+					continue
+				}
+				if uniform {
+					// casDelay is constant, so the counter alone decides: any
+					// row hit yields the same candidate as the first one.
+					if b.rowMatch > 0 {
+						cand := b.casReadyAt
+						if t := c.busFreeAt - c.httime.TCAS; t > cand {
+							cand = t
+						}
+						if cand < best {
+							best = cand
+						}
+					} else if b.preAllowedAt < best {
+						best = b.preAllowedAt
+					}
+					continue
+				}
+				matched := b.rowMatch > 0
+				for r := b.head; r != nil; r = r.nextB {
+					if int64(r.row) != b.openRow {
+						continue
+					}
 					cand := b.casReadyAt
-					if t := c.busFreeAt - c.httime.TCAS; t > cand {
+					if t := c.busFreeAt - c.casDelay(r); t > cand {
 						cand = t
 					}
 					if cand < best {
 						best = cand
 					}
-				} else if b.preAllowedAt < best {
+				}
+				if !matched && b.preAllowedAt < best {
+					// No pending request wants the open row: precharge is
+					// permitted once tRAS expires.
 					best = b.preAllowedAt
 				}
-				continue
-			}
-			matched := b.rowMatch > 0
-			for r := b.head; r != nil; r = r.nextB {
-				if int64(r.row) != b.openRow {
-					continue
-				}
-				cand := b.casReadyAt
-				if t := c.busFreeAt - c.casDelay(r); t > cand {
-					cand = t
-				}
-				if cand < best {
-					best = cand
-				}
-			}
-			if !matched && b.preAllowedAt < best {
-				// No pending request wants the open row: precharge is
-				// permitted once tRAS expires.
-				best = b.preAllowedAt
 			}
 		}
 		// The edge where the oldest request crosses the starvation limit
@@ -682,7 +685,7 @@ func (c *Controller) mapAddress(r *Request) {
 // CAS (row hits inherently win under FR-FCFS because conflicting requests
 // are not CAS-ready), else the oldest ACT into a closed bank, else the
 // oldest PRE of a row nothing pending still wants. All three candidates
-// come out of one pass over the banks — per bank the CAS/PRE conditions
+// come out of one pass over the busy banks — per bank the CAS/PRE conditions
 // (row open) and the ACT condition (row closed) are mutually exclusive,
 // and one chain walk answers both the CAS pick (first row hit that can
 // claim the bus) and the PRE row-still-wanted test. The fused scan issues
@@ -715,43 +718,42 @@ func (c *Controller) issueOne(now event.Time) bool {
 		return false
 	}
 	var cas, act, pre *Request
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.npend == 0 {
-			continue
-		}
-		if b.openRow == -1 {
-			if b.preInFlightRow == -1 && now >= b.actAllowedAt {
-				if r := b.head; act == nil || r.qSeq < act.qSeq {
-					act = r
-				}
-			}
-			continue
-		}
-		casReady := now >= b.casReadyAt
-		preReady := b.preInFlightRow == -1 && now >= b.preAllowedAt
-		if !casReady && !preReady {
-			continue
-		}
-		wanted := b.rowMatch > 0
-		if wanted && casReady {
-			for r := b.head; r != nil; r = r.nextB {
-				if int64(r.row) != b.openRow {
-					continue
-				}
-				if c.busFreeAt <= now+c.casDelay(r) {
-					if cas == nil || r.qSeq < cas.qSeq {
-						cas = r
+	for w, word := range c.busy {
+		for ; word != 0; word &= word - 1 {
+			b := &c.banks[w<<6|bits.TrailingZeros64(word)]
+			if b.openRow == -1 {
+				if b.preInFlightRow == -1 && now >= b.actAllowedAt {
+					if r := b.head; act == nil || r.qSeq < act.qSeq {
+						act = r
 					}
-					break // older requests in this bank cannot beat r
 				}
-				// Row hit that cannot claim the bus: keep walking, a
-				// later hit with a different burst length may fit.
+				continue
 			}
-		}
-		if preReady && !wanted {
-			if r := b.head; pre == nil || r.qSeq < pre.qSeq {
-				pre = r
+			casReady := now >= b.casReadyAt
+			preReady := b.preInFlightRow == -1 && now >= b.preAllowedAt
+			if !casReady && !preReady {
+				continue
+			}
+			wanted := b.rowMatch > 0
+			if wanted && casReady {
+				for r := b.head; r != nil; r = r.nextB {
+					if int64(r.row) != b.openRow {
+						continue
+					}
+					if c.busFreeAt <= now+c.casDelay(r) {
+						if cas == nil || r.qSeq < cas.qSeq {
+							cas = r
+						}
+						break // older requests in this bank cannot beat r
+					}
+					// Row hit that cannot claim the bus: keep walking, a
+					// later hit with a different burst length may fit.
+				}
+			}
+			if preReady && !wanted {
+				if r := b.head; pre == nil || r.qSeq < pre.qSeq {
+					pre = r
+				}
 			}
 		}
 	}
@@ -930,6 +932,9 @@ func (c *Controller) removeRequest(r *Request) {
 	r.nextQ, r.prevQ, r.nextB, r.prevB = nil, nil, nil, nil
 	c.qLen--
 	b.npend--
+	if b.npend == 0 {
+		c.busy[r.bank>>6] &^= 1 << (r.bank & 63)
+	}
 	if b.openRow == int64(r.row) {
 		b.rowMatch--
 	}
