@@ -64,3 +64,35 @@ func TestMemoKeySeparatesCapacityConfigs(t *testing.T) {
 		t.Errorf("config1 and config2 give the same amat %d ps; the test no longer tells them apart", a.AvgMemAccessTime())
 	}
 }
+
+// TestMemoizedReadsOnlyTheMemo: Memoized misses until a run is memoized,
+// then returns the memo's result and counts the memory hit a repeated run
+// would count; it never simulates.
+func TestMemoizedReadsOnlyTheMemo(t *testing.T) {
+	r := NewRunner()
+	r.Measure = 20_000
+	def, err := SystemByName("ddr3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := r.Memoized(def, "single/mcf"); ok || res != nil {
+		t.Fatalf("Memoized before any run = %p, %v; want a miss", res, ok)
+	}
+	if st := r.Stats(); st != (RunnerStats{}) {
+		t.Fatalf("a memo miss changed the stats: %+v", st)
+	}
+	first, err := r.RunSingle(def, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := r.Memoized(def, "single/mcf")
+	if !ok || res != first {
+		t.Fatalf("Memoized after the run = %p, %v; want the memoized %p", res, ok, first)
+	}
+	if _, ok := r.Memoized(def, "single/lbm"); ok {
+		t.Fatal("Memoized hit a run that never ran")
+	}
+	if st := r.Stats(); st.MemoryHits != 1 || st.Simulated != 1 {
+		t.Fatalf("memory hits %d, simulated %d; want 1 and 1", st.MemoryHits, st.Simulated)
+	}
+}

@@ -366,6 +366,22 @@ func CheckReplay(def SystemDef) error {
 	return fmt.Errorf("exp: %s cannot replay a trace: MOCA classes are fixed by the heap addresses a recording was made with, and a trace carries no class map to check them against; replay on heter-app, migrate or a homogeneous system", def.Name)
 }
 
+// Memoized returns def's result for run ("single/app" or "mix/name", as
+// MemoKey takes it) if the in-memory memo holds one, and counts a memory
+// hit as a memoized run does. It never blocks: it neither starts nor joins
+// a flight, and it leaves the persistent cache alone.
+func (r *Runner) Memoized(def SystemDef, run string) (*sim.Result, bool) {
+	var buf [192]byte
+	kb := appendMemoKey(buf[:0], def, run)
+	r.mu.Lock()
+	res, ok := r.results[string(kb)]
+	r.mu.Unlock()
+	if ok {
+		r.memoryHits.Add(1)
+	}
+	return res, ok
+}
+
 // run is the deduplicated entry point: per-key singleflight over the
 // in-memory memo, backed by the persistent cache. The first caller for a
 // key registers a flight; concurrent callers join it and share the
@@ -630,10 +646,8 @@ func (r *Runner) bareInstr(app string) (*appInstr, error) {
 	if a, ok := r.bare[app]; ok {
 		return a, nil
 	}
-	var spec workload.AppSpec
-	if a, ok := r.instr[app]; ok {
-		spec = a.ins.App // ByName builds the whole suite to find one spec
-	} else if spec, ok = workload.ByName(app); !ok {
+	spec, ok := workload.ByName(app)
+	if !ok {
 		return nil, fmt.Errorf("exp: unknown app %q", app)
 	}
 	if r.bare == nil {

@@ -179,17 +179,20 @@ func (c *Client) Cancel(j *Job) error {
 // the exact frame bytes.
 func (c *Client) Wait(ctx context.Context, j *Job, onProgress func(done, total uint64), onSnapshot func(obs []byte)) (*sim.Result, error) {
 	// Fire the CANCEL from a watcher so it goes out even while this
-	// goroutine is blocked mid-read. The watcher is Wait's only writer.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	//moca:gorountracked exits when stopWatch closes on Wait's return; bounded by this call
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = c.Cancel(j)
-		case <-stopWatch:
-		}
-	}()
+	// goroutine is blocked mid-read. The watcher is Wait's only writer. A
+	// context that can never fire needs no watcher.
+	if done := ctx.Done(); done != nil {
+		stopWatch := make(chan struct{})
+		defer close(stopWatch)
+		//moca:gorountracked exits when stopWatch closes on Wait's return; bounded by this call
+		go func() {
+			select {
+			case <-done:
+				_ = c.Cancel(j)
+			case <-stopWatch:
+			}
+		}()
+	}
 	for {
 		typ, payload, err := c.readFrame()
 		if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -347,9 +348,43 @@ func TestLiveCountMatchesJobs(t *testing.T) {
 	checkConn(c2, "trace end", 0)
 }
 
+// TestServeHitAllocBudget is the CI bench smoke for the hot-key path:
+// BenchmarkServeHit may allocate no more per op than its
+// BENCH_throughput.json micro entry records. Skipped unless
+// MOCA_BENCH_SMOKE=1.
+func TestServeHitAllocBudget(t *testing.T) {
+	if os.Getenv("MOCA_BENCH_SMOKE") == "" {
+		t.Skip("set MOCA_BENCH_SMOKE=1 to run the bench smoke")
+	}
+	data, err := os.ReadFile("../../../BENCH_throughput.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Micro map[string]struct {
+			AllocsPerOp int64 `json:"allocs_per_op"`
+		} `json:"micro"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := f.Micro["BenchmarkServeHit"]
+	if !ok {
+		t.Fatal("BENCH_throughput.json has no micro entry BenchmarkServeHit")
+	}
+	res := testing.Benchmark(BenchmarkServeHit)
+	t.Logf("allocs/op: measured %d, budget %d", res.AllocsPerOp(), m.AllocsPerOp)
+	if allocs := res.AllocsPerOp(); allocs > m.AllocsPerOp {
+		t.Fatalf("hot-key hit allocates %d allocs/op, budget %d; if intentional, update the micro entry in BENCH_throughput.json",
+			allocs, m.AllocsPerOp)
+	}
+}
+
 // BenchmarkServeHit is the hot-key path end to end: one connection sends
 // b.N requests for one memoized run, each a SUBMIT, ACCEPTED and RESULT
-// exchange decoded by the client.
+// exchange decoded by the client. Two untimed requests come first: the
+// one that computes the run, and the second delivery, which keeps the
+// encoded document, so every timed request is a steady-state memo hit.
 func BenchmarkServeHit(b *testing.B) {
 	_, addr := startServer(b, Config{DrainTimeout: 5 * time.Second})
 	c, err := client.Dial(addr, client.Options{})
@@ -359,8 +394,10 @@ func BenchmarkServeHit(b *testing.B) {
 	defer c.Close()
 	ctx := context.Background()
 	sub := testSubmit(0)
-	if _, _, err := c.Run(ctx, sub, nil); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.Run(ctx, sub, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -318,8 +318,9 @@ func (d *docCache) encode(res *sim.Result) ([]byte, error) {
 	return doc, err
 }
 
-// job is one client's interest in one run. Exactly one of the runner
-// path (memoKey/cancel) or the trace-streaming path (sess) is live.
+// job is one client's interest in one run. At most one of the runner
+// path (memoKey/cancel) or the trace-streaming path (sess) is live; a job
+// answered from the runner memo has neither.
 type job struct {
 	id      uint32
 	memoKey string
@@ -357,20 +358,21 @@ type conn struct {
 // send writes one frame under the write deadline. Errors only poison this
 // connection; the read loop notices on its next read.
 func (c *conn) send(typ byte, v any) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.writeTimeout()))
-	//moca:allowhold wmu exists to serialize frame writes; the write deadline bounds the hold
-	return wire.WriteMsg(c.nc, typ, v, c.srv.cfg.maxFrame())
+	frame, err := wire.AppendMsg(nil, typ, v, c.srv.cfg.maxFrame())
+	if err != nil {
+		return err
+	}
+	return c.write(frame)
 }
 
-// sendRaw writes a pre-encoded payload (byte-identical results).
-func (c *conn) sendRaw(typ byte, payload []byte) error {
+// write writes whole frames in one Write under the write deadline.
+func (c *conn) write(frames []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.writeTimeout()))
 	//moca:allowhold wmu exists to serialize frame writes; the write deadline bounds the hold
-	return wire.WriteFrame(c.nc, typ, payload, c.srv.cfg.maxFrame())
+	_, err := c.nc.Write(frames)
+	return err
 }
 
 func (c *conn) protoError(msg string) {
@@ -387,11 +389,12 @@ func (c *conn) serve() {
 		// its last acknowledged position.
 		c.mu.Lock()
 		for _, j := range c.jobs {
-			if j.sess != nil {
+			switch {
+			case j.sess != nil:
 				j.sess.detach(c)
-				continue
+			case j.cancel != nil:
+				j.cancel()
 			}
-			j.cancel()
 		}
 		c.mu.Unlock()
 		c.jwg.Wait()
@@ -488,11 +491,12 @@ func (c *conn) dispatch(typ byte, payload []byte) error {
 			// A job that already reached a terminal state keeps it, so
 			// STATUS agrees with the terminal frame the client received.
 			c.finish(j, wire.StateCanceled)
-			if j.sess != nil {
+			switch {
+			case j.sess != nil:
 				// An explicit CANCEL abandons the session for good — unlike
 				// a disconnect, which leaves it resumable.
 				j.sess.terminate()
-			} else {
+			case j.cancel != nil:
 				j.cancel()
 			}
 		}
@@ -537,10 +541,13 @@ func (c *conn) lookup(id uint32) *job {
 
 func (c *conn) liveJobs() int { return int(c.live.Load()) }
 
-// register adds a running job to the connection; the caller holds c.mu.
+// register adds j to the connection, counting it live if it is running;
+// the caller holds c.mu.
 func (c *conn) register(j *job) {
 	c.jobs[j.id] = j
-	c.live.Add(1)
+	if j.state == wire.StateRunning {
+		c.live.Add(1)
+	}
 }
 
 // finish moves j from StateRunning to the terminal state st and returns
@@ -563,21 +570,22 @@ func (c *conn) finish(j *job, st string) string {
 }
 
 // deliver makes st j's terminal state and sends the matching frame: the
-// RESULT payload for StateDone, otherwise an ERROR with code and msg. If
+// RESULT frame for StateDone, otherwise an ERROR with code and msg. If
 // a CANCEL made j terminal first, the client gets the canceled ERROR
 // instead, so the frame always agrees with STATUS.
-func (c *conn) deliver(j *job, st, code, msg string, payload []byte) {
+func (c *conn) deliver(j *job, st, code, msg string, result []byte) {
 	if c.finish(j, st) != st {
 		st, code, msg = wire.StateCanceled, wire.CodeCanceled, "job canceled"
 	}
 	if st == wire.StateDone {
-		_ = c.sendRaw(wire.TypeResult, payload)
+		_ = c.write(result)
 		return
 	}
 	_ = c.send(wire.TypeError, wire.ErrorMsg{ID: j.id, Code: code, Msg: msg})
 }
 
-// submit validates a SUBMIT and starts its job goroutine.
+// submit validates a SUBMIT, then answers it from the runner memo or
+// starts its job goroutine.
 func (c *conn) submit(sub wire.Submit) error {
 	reject := func(code, msg string) error {
 		return c.send(wire.TypeError, wire.ErrorMsg{ID: sub.ID, Code: code, Msg: msg})
@@ -597,22 +605,12 @@ func (c *conn) submit(sub wire.Submit) error {
 		key = "mix/" + sub.Mix
 	}
 
+	// Only this read loop adds jobs, so the ID stays free until it does.
 	c.mu.Lock()
-	if _, dup := c.jobs[sub.ID]; dup {
-		c.mu.Unlock()
-		return reject(wire.CodeBadReq, "job id already in use")
-	}
-	// Jobs run under the drain root, not a detached context: when the
-	// drain window expires the server cancels stragglers instead of
-	// leaking them behind force-closed connections.
-	jctx, cancel := context.WithCancel(c.srv.hardContext())
-	j := &job{id: sub.ID, memoKey: exp.MemoKey(def, key), cancel: cancel, state: wire.StateRunning}
-	c.register(j)
+	_, dup := c.jobs[sub.ID]
 	c.mu.Unlock()
-
-	if err := c.send(wire.TypeAccepted, wire.Accepted{ID: sub.ID}); err != nil {
-		cancel()
-		return err
+	if dup {
+		return reject(wire.CodeBadReq, "job id already in use")
 	}
 
 	measure, window := sub.Measure, sub.ProfileWindow
@@ -623,6 +621,23 @@ func (c *conn) submit(sub wire.Submit) error {
 		window = c.srv.cfg.profileWindow()
 	}
 	r := c.srv.runner(runnerKey{measure: measure, window: window, metrics: sub.Metrics})
+	if res, ok := r.Memoized(def, key); ok {
+		return c.answer(sub.ID, res)
+	}
+
+	// Jobs run under the drain root, not a detached context: when the
+	// drain window expires the server cancels stragglers instead of
+	// leaking them behind force-closed connections.
+	jctx, cancel := context.WithCancel(c.srv.hardContext())
+	j := &job{id: sub.ID, memoKey: exp.MemoKey(def, key), cancel: cancel, state: wire.StateRunning}
+	c.mu.Lock()
+	c.register(j)
+	c.mu.Unlock()
+
+	if err := c.send(wire.TypeAccepted, wire.Accepted{ID: sub.ID}); err != nil {
+		cancel()
+		return err
+	}
 
 	c.jwg.Add(1)
 	go func() {
@@ -654,10 +669,12 @@ func (c *conn) runJob(ctx context.Context, r *exp.Runner, j *job, def exp.System
 		// sim.Result's encoding is deterministic (fixed field order,
 		// sorted maps), so every client joined to the same *sim.Result
 		// receives byte-identical frames without coordination.
-		var doc []byte
+		var doc, frame []byte
 		if doc, err = c.srv.docs.encode(res); err == nil {
-			c.deliver(j, wire.StateDone, "", "", wire.AppendResult(nil, j.id, doc))
-			return
+			if frame, err = wire.AppendResultFrame(nil, j.id, doc, c.srv.cfg.maxFrame()); err == nil {
+				c.deliver(j, wire.StateDone, "", "", frame)
+				return
+			}
 		}
 	}
 	if errors.Is(err, context.Canceled) {
@@ -667,10 +684,42 @@ func (c *conn) runJob(ctx context.Context, r *exp.Runner, j *job, def exp.System
 	c.deliver(j, wire.StateFailed, wire.CodeFailed, err.Error(), nil)
 }
 
+// answer serves, on the read loop, a SUBMIT whose run the runner memo
+// already holds. The job is registered terminal, so it is never live and
+// needs no context or goroutine, and its ACCEPTED and terminal frames go
+// out together in one write.
+func (c *conn) answer(id uint32, res *sim.Result) error {
+	limit := c.srv.cfg.maxFrame()
+	doc, resErr := c.srv.docs.encode(res)
+	// The frame headers, the two envelopes and the job ID fit in the slack.
+	frames, err := wire.AppendMsg(make([]byte, 0, len(doc)+64), wire.TypeAccepted, wire.Accepted{ID: id}, limit)
+	if err != nil {
+		return err
+	}
+	if resErr == nil {
+		frames, resErr = wire.AppendResultFrame(frames, id, doc, limit)
+	}
+	j := &job{id: id, state: wire.StateDone}
+	if resErr != nil {
+		j.state = wire.StateFailed
+		if frames, err = wire.AppendMsg(frames, wire.TypeError, wire.ErrorMsg{ID: id, Code: wire.CodeFailed, Msg: resErr.Error()}, limit); err != nil {
+			return err
+		}
+	}
+	c.mu.Lock()
+	c.register(j)
+	c.mu.Unlock()
+	return c.write(frames)
+}
+
 // stream subscribes the connection to the job's progress ticks until the
 // job ends, forwarding at most one PROGRESS (and SNAPSHOT, when metrics
-// were requested) per throttle interval.
+// were requested) per throttle interval. A job that is already terminal
+// has nothing to stream: it gets no subscription and no goroutine.
 func (c *conn) stream(j *job) {
+	if j.getState() != wire.StateRunning {
+		return
+	}
 	ticks, unsubscribe := c.srv.hub.subscribe(j.memoKey)
 	c.jwg.Add(1)
 	go func() {

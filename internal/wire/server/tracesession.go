@@ -318,7 +318,7 @@ func (c *conn) handleTraceStart(start wire.TraceStart) error {
 	if werr != nil {
 		return c.send(wire.TypeError, *werr)
 	}
-	j := &job{id: start.ID, sess: ts, state: wire.StateRunning, cancel: func() {}}
+	j := &job{id: start.ID, sess: ts, state: wire.StateRunning}
 	c.mu.Lock()
 	c.register(j)
 	c.mu.Unlock()
@@ -366,10 +366,15 @@ func (c *conn) handleTraceEnd(end wire.TraceEnd) error {
 			}
 			return
 		}
-		// The same envelope as runJob: sim.Result JSON is deterministic,
+		// The same frame as runJob's: sim.Result JSON is deterministic,
 		// so a resumed client receives byte-identical result bytes to a
 		// local run of the identical instruction stream.
-		c.deliver(j, wire.StateDone, "", "", wire.AppendResult(nil, j.id, ts.result))
+		frame, err := wire.AppendResultFrame(nil, j.id, ts.result, c.srv.cfg.maxFrame())
+		if err != nil {
+			c.deliver(j, wire.StateFailed, wire.CodeFailed, err.Error(), nil)
+			return
+		}
+		c.deliver(j, wire.StateDone, "", "", frame)
 	}()
 	return nil
 }

@@ -1,5 +1,5 @@
-// Package wire is the serving protocol of moca-served: a compact
-// length-prefixed binary framing with JSON payloads, spoken between the
+// Package wire is the serving protocol of moca-served: length-prefixed
+// frames carrying JSON payloads, spoken between the
 // long-running server (internal/wire/server) and its clients
 // (internal/wire/client, moca-sim -remote).
 //
@@ -169,9 +169,9 @@ type Snapshot struct {
 // ResultMsg terminates a successful job. Result holds the sim.Result JSON
 // document. sim.Result's encoding is deterministic, so every client joined
 // to the same run receives byte-identical bytes. The server frames the
-// document with AppendResult and keeps the encoded document of any result
-// it has delivered more than once, so a hot result is encoded once; a
-// result delivered once is encoded for that delivery and not kept.
+// document with AppendResultFrame and keeps the encoded document of any
+// result it has delivered more than once, so a hot result is encoded
+// once; a result delivered once is encoded for that delivery and not kept.
 type ResultMsg struct {
 	ID     uint32          `json:"id"`
 	Result json.RawMessage `json:"result"`
@@ -364,11 +364,50 @@ func WriteFrame(w io.Writer, typ byte, payload []byte, max uint32) error {
 
 // WriteMsg JSON-encodes v and writes it as one frame of the given type.
 func WriteMsg(w io.Writer, typ byte, v any, max uint32) error {
+	buf, err := AppendMsg(nil, typ, v, max)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// AppendMsg appends to dst the frame WriteMsg writes for v, so several
+// frames can go out in one write. On error dst is returned unchanged.
+func AppendMsg(dst []byte, typ byte, v any, max uint32) ([]byte, error) {
 	payload, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("wire: encoding %T: %w", v, err)
+		return dst, fmt.Errorf("wire: encoding %T: %w", v, err)
 	}
-	return WriteFrame(w, typ, payload, max)
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, typ)
+	return closeFrame(append(dst, payload...), start, max)
+}
+
+// AppendResultFrame appends to dst the whole RESULT frame for job id
+// carrying doc: the frame header and AppendResult's payload, built in
+// place, so the document is copied once, into the buffer that is written.
+// max bounds the frame as WriteFrame does; on error dst is returned
+// unchanged.
+func AppendResultFrame(dst []byte, id uint32, doc []byte, max uint32) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, TypeResult)
+	return closeFrame(AppendResult(dst, id, doc), start, max)
+}
+
+// closeFrame fills in the length prefix of the frame that starts at
+// dst[start] and runs to the end of dst, or cuts the frame off again if it
+// exceeds max.
+func closeFrame(dst []byte, start int, max uint32) ([]byte, error) {
+	if max == 0 {
+		max = DefaultMaxFrame
+	}
+	n := uint64(len(dst) - start - 4)
+	if n > uint64(max) {
+		return dst[:start], fmt.Errorf("%w: %d byte frame, limit %d", ErrTooLarge, n, max)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
 }
 
 // ReadFrame reads one frame, enforcing the size cap (0 = DefaultMaxFrame)

@@ -160,6 +160,43 @@ func TestErrorStringsCarryContext(t *testing.T) {
 	}
 }
 
+// TestAppendFramesMatchWriters: AppendResultFrame and AppendMsg append
+// exactly the frames WriteFrame and WriteMsg write, one after another in
+// one buffer, and an oversized frame leaves the buffer as it was.
+func TestAppendFramesMatchWriters(t *testing.T) {
+	doc := []byte(`{"elapsed_ps":1,"apps":["mcf"]}`)
+	var want bytes.Buffer
+	if err := WriteMsg(&want, TypeAccepted, Accepted{ID: 7}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&want, TypeResult, AppendResult(nil, 7, doc), 0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendMsg([]byte("prefix"), TypeAccepted, Accepted{ID: 7}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = AppendResultFrame(got, 7, doc, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[len("prefix"):], want.Bytes()) {
+		t.Fatalf("appended frames %q, written frames %q", got[len("prefix"):], want.Bytes())
+	}
+
+	limit := uint32(len(AppendResult(nil, 7, doc)))
+	if _, err := AppendResultFrame(nil, 7, doc, limit+1); err != nil {
+		t.Fatalf("a RESULT frame at the limit: %v", err)
+	}
+	short, err := AppendResultFrame([]byte("prefix"), 7, doc, limit)
+	if !errors.Is(err, ErrTooLarge) || string(short) != "prefix" {
+		t.Fatalf("a RESULT frame over the limit: %q, %v; want the buffer unchanged and ErrTooLarge", short, err)
+	}
+	short, err = AppendMsg([]byte("prefix"), TypeAccepted, Accepted{ID: 7}, 4)
+	if !errors.Is(err, ErrTooLarge) || string(short) != "prefix" {
+		t.Fatalf("a message frame over the limit: %q, %v; want the buffer unchanged and ErrTooLarge", short, err)
+	}
+}
+
 // TestAppendResultMatchesMarshal: the RESULT writer produces exactly the
 // bytes json.Marshal(ResultMsg) does, so JSON clients keep working, and
 // SplitResult reads back the same ID and document.

@@ -28,20 +28,32 @@ const (
 	mb = 1 << 20
 )
 
-// Suite returns the full application suite in Table III order.
-func Suite() []AppSpec {
-	return []AppSpec{
-		MCF(), Milc(), Libquantum(), Disparity(), // L
-		Mser(), LBM(), Tracking(), // B
-		GCC(), Sift(), Stitch(), // N
-	}
+// suite is the application suite in Table III order, each app by name
+// and constructor, so ByName and Names build no spec they do not return.
+var suite = []struct {
+	name string
+	spec func() AppSpec
+}{
+	{"mcf", MCF}, {"milc", Milc}, {"libquantum", Libquantum}, {"disparity", Disparity}, // L
+	{"mser", Mser}, {"lbm", LBM}, {"tracking", Tracking}, // B
+	{"gcc", GCC}, {"sift", Sift}, {"stitch", Stitch}, // N
 }
 
-// ByName finds an application spec by name.
+// Suite returns the full application suite in Table III order.
+func Suite() []AppSpec {
+	out := make([]AppSpec, len(suite))
+	for i, a := range suite {
+		out[i] = a.spec()
+	}
+	return out
+}
+
+// ByName builds the suite's application spec named name. Each call returns
+// a fresh spec the caller may mutate.
 func ByName(name string) (AppSpec, bool) {
-	for _, s := range Suite() {
-		if s.Name == name {
-			return s, true
+	for _, a := range suite {
+		if a.name == name {
+			return a.spec(), true
 		}
 	}
 	return AppSpec{}, false
@@ -49,9 +61,9 @@ func ByName(name string) (AppSpec, bool) {
 
 // Names lists the suite's application names.
 func Names() []string {
-	var out []string
-	for _, s := range Suite() {
-		out = append(out, s.Name)
+	out := make([]string, len(suite))
+	for i, a := range suite {
+		out[i] = a.name
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,30 @@ func TestByName(t *testing.T) {
 	}
 	if len(Names()) != 10 {
 		t.Error("Names() wrong length")
+	}
+}
+
+// TestByNameMatchesSuite: ByName builds exactly the spec Suite lists under
+// each of Names, and every call returns a spec of its own.
+func TestByNameMatchesSuite(t *testing.T) {
+	all := Suite()
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() has %d entries, Suite() %d", len(names), len(all))
+	}
+	for i, name := range names {
+		if all[i].Name != name {
+			t.Fatalf("Names()[%d] = %q, Suite()[%d].Name = %q", i, name, i, all[i].Name)
+		}
+		s, ok := ByName(name)
+		if !ok || !reflect.DeepEqual(s, all[i]) {
+			t.Fatalf("ByName(%q) differs from its Suite() entry", name)
+		}
+		s.Objects[0].Label = "mutated"
+		s.Objects = s.Objects[:1]
+		if again, _ := ByName(name); !reflect.DeepEqual(again, all[i]) {
+			t.Fatalf("mutating a spec from ByName(%q) changed the next call's", name)
+		}
 	}
 }
 
