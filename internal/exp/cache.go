@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"moca/internal/profile"
@@ -228,16 +230,35 @@ func (c *RunCache) load(kind string, key []byte, decode func(payload []byte) err
 }
 
 // readEntry reads the file at path into b's spare capacity, growing it
-// as needed, and returns the filled slice.
+// as needed, and returns the filled slice. It reads through a raw file
+// descriptor: os.Open would also set the descriptor non-blocking and try
+// to register it with the runtime poller, which a regular file read once
+// has no use for. A missing file is an error satisfying
+// errors.Is(err, fs.ErrNotExist).
 func readEntry(path string, b []byte) ([]byte, error) {
-	f, err := os.Open(path)
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
 	if err != nil {
 		return b, err
 	}
-	defer f.Close()
-	buf := bytes.NewBuffer(b)
-	_, err = buf.ReadFrom(f)
-	return buf.Bytes(), err
+	defer syscall.Close(fd)
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := syscall.Read(fd, b[len(b):cap(b)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return b, err
+		case n == 0:
+			return b, nil
+		default:
+			b = b[:len(b)+n]
+		}
+	}
 }
 
 var newline = []byte{'\n'}

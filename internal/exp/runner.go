@@ -106,13 +106,29 @@ type instrFlight struct {
 }
 
 // appInstr is one app's instrumentation and, encoded on first use, its
-// ref-input process spec's result-key fragment (procKey): [0] under every
-// policy but MOCA, [1] under MOCA, the only policy whose ProcSpec carries
-// the class map. The fragments live and die with the instrumentation
-// they encode.
+// ref-input process spec's result-key fragments (procKey): [0] under
+// every policy but MOCA, [1] under MOCA, the only policy whose ProcSpec
+// carries the class map. The fragments live and die with the
+// instrumentation they encode.
 type appInstr struct {
-	ins     core.Instrumentation
-	procKey [2][]byte // guarded by Runner.mu
+	ins  core.Instrumentation
+	frag [2]keyFragment
+}
+
+// keyFragment is one encoded result-key fragment, made once by whichever
+// run first needs it, without Runner.mu held.
+type keyFragment struct {
+	once sync.Once
+	b    []byte
+	err  error
+}
+
+// procKey returns a's fragment for p, its process spec under MOCA (moca
+// 1) or another policy (moca 0), encoding it on first use.
+func (a *appInstr) procKey(moca int, p sim.ProcSpec) ([]byte, error) {
+	f := &a.frag[moca]
+	f.once.Do(func() { f.b, f.err = procKey(p) })
+	return f.b, f.err
 }
 
 // readsInstr reports whether policy p reads instrumentation: only its runs
@@ -660,7 +676,7 @@ func (r *Runner) bareInstr(app string) (*appInstr, error) {
 // appendResultCacheKey appends to b the result key (resultKey) of
 // prepare's run of def under r.Measure and r.FW.ProfileWindow (if def's
 // policy reads it), given prepare's procs and ins. It splices fragments
-// this runner encodes once, under r.mu: one per system (cfgKeys) and one
+// encoded once, and never under r.mu: one per system (cfgKeys) and one
 // per app entry and MOCA-or-not (appInstr.procKey).
 func (r *Runner) appendResultCacheKey(b []byte, def SystemDef, cfg sim.Config, procs []sim.ProcSpec, ins []*appInstr) ([]byte, error) {
 	var sysBuf [160]byte
@@ -672,31 +688,31 @@ func (r *Runner) appendResultCacheKey(b []byte, def SystemDef, cfg sim.Config, p
 	if readsInstr(def.Policy) {
 		window = r.FW.ProfileWindow
 	}
-	var procBuf [4][]byte
-	procKeys := procBuf[:0]
-	var err error
 	r.mu.Lock()
 	cfgKey, ok := r.cfgKeys[string(sys)]
+	r.mu.Unlock()
 	if !ok {
+		var err error
 		if cfgKey, err = configKey(cfg); err != nil {
-			r.mu.Unlock()
 			return nil, err
 		}
+		// Two runs may both encode a new system; their bytes are equal.
+		r.mu.Lock()
 		if r.cfgKeys == nil {
 			r.cfgKeys = make(map[string][]byte)
 		}
 		r.cfgKeys[string(sys)] = cfgKey
+		r.mu.Unlock()
 	}
+	var procBuf [4][]byte
+	procKeys := procBuf[:0]
 	for i, a := range ins {
-		if a.procKey[moca] == nil {
-			if a.procKey[moca], err = procKey(procs[i]); err != nil {
-				r.mu.Unlock()
-				return nil, err
-			}
+		k, err := a.procKey(moca, procs[i])
+		if err != nil {
+			return nil, err
 		}
-		procKeys = append(procKeys, a.procKey[moca])
+		procKeys = append(procKeys, k)
 	}
-	r.mu.Unlock()
 	return appendResultKey(b, cfgKey, procKeys, r.Measure, window, cfg.Obs.Metrics), nil
 }
 
@@ -846,20 +862,33 @@ func (r *Runner) warmSingles(systems []SystemDef, apps []string) error {
 
 // warm runs each of runs, keyed kind+Name, on every system in parallel so
 // the figures' sequential reads hit the memo. If a system reads
-// instrumentation, it first profiles the apps serially, for the parallel
-// runs to share.
+// instrumentation, the same worker pool first takes one task per distinct
+// app that loads (or profiles) it for the runs to share; a run that needs
+// an app still loading joins that app's flight. An app that fails to
+// load cancels the tasks not yet done, and the pass returns its error.
 func (r *Runner) warm(systems []SystemDef, kind string, runs []workload.Mix) error {
+	ctx, cancel := context.WithCancel(r.context())
+	defer cancel()
+	var tasks []func() error
 	if slices.ContainsFunc(systems, func(def SystemDef) bool { return readsInstr(def.Policy) }) {
+		seen := make(map[string]bool)
 		for _, job := range runs {
 			for _, app := range job.Apps {
-				if _, err := r.Instrument(app); err != nil {
-					return err
+				if !seen[app] {
+					seen[app] = true
+					tasks = append(tasks, func() error {
+						// Loads wait out their flight even once a sibling
+						// failed, so each reports its own outcome.
+						_, err := r.instrumentCtx(r.context(), app)
+						if err != nil {
+							cancel()
+						}
+						return err
+					})
 				}
 			}
 		}
 	}
-	ctx := r.context()
-	var tasks []func() error
 	for _, def := range systems {
 		for _, job := range runs {
 			tasks = append(tasks, func() error {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"moca/internal/mem"
@@ -9,43 +10,56 @@ import (
 )
 
 // SystemByName resolves a command-line system name (ddr3, rl, hbm, lp,
-// heter-app, moca, migrate, with an optional @config2/@config3 capacity
-// suffix) to a SystemDef. It is the one system-name table: moca-sim's
-// -system, moca-trace replay's -system, and moca-served's SUBMIT and
-// TRACE_START frames all resolve through it. The returned Name is the
-// simulator config name ("homogen-ddr3", "moca", ...), so a result's Name
-// is the same whichever of them ran it.
+// heter-app, moca, migrate, with an optional @config1/@config2/@config3
+// capacity suffix) to a SystemDef. It is the one system-name table:
+// moca-sim's -system, moca-trace replay's -system, and moca-served's
+// SUBMIT and TRACE_START frames all resolve through it. The returned Name
+// is the simulator config name ("homogen-ddr3", "moca", ...), so a
+// result's Name is the same whichever of them ran it.
+//
+// The table is built once, and the names of one system share its Modules
+// slice: callers must treat def.Modules as read-only.
 func SystemByName(name string) (SystemDef, error) {
-	base, sel := name, sim.Config1
-	if i := strings.Index(name, "@"); i >= 0 {
-		base = name[:i]
-		switch name[i+1:] {
-		case "config1":
-			sel = sim.Config1
-		case "config2":
-			sel = sim.Config2
-		case "config3":
-			sel = sim.Config3
-		default:
-			return SystemDef{}, fmt.Errorf("exp: unknown capacity config %q", name[i+1:])
+	if def, ok := systemTable[name]; ok {
+		return def, nil
+	}
+	if _, suffix, ok := strings.Cut(name, "@"); ok && !slices.ContainsFunc(capacitySuffixes, func(c capacitySuffix) bool { return c.suffix == "@"+suffix }) {
+		return SystemDef{}, fmt.Errorf("exp: unknown capacity config %q", suffix)
+	}
+	return SystemDef{}, fmt.Errorf("exp: unknown system %q", name)
+}
+
+// capacitySuffix is one capacity suffix a system name may carry and the
+// heterogeneous config it selects; no suffix is config1.
+type capacitySuffix struct {
+	suffix string
+	sel    sim.HeterConfig
+}
+
+var capacitySuffixes = []capacitySuffix{{"", sim.Config1}, {"@config1", sim.Config1}, {"@config2", sim.Config2}, {"@config3", sim.Config3}}
+
+// systemTable maps every name SystemByName resolves to its SystemDef. A
+// homogeneous system ignores the capacity suffix.
+var systemTable = func() map[string]SystemDef {
+	homogen := func(name string, kind mem.Kind) SystemDef {
+		return SystemDef{Name: name, Modules: sim.Homogeneous(kind), Policy: sim.PolicyFixed}
+	}
+	ddr3, rl := homogen("homogen-ddr3", mem.DDR3), homogen("homogen-rl", mem.RLDRAM)
+	hbm, lp := homogen("homogen-hbm", mem.HBM), homogen("homogen-lp", mem.LPDDR2)
+	t := make(map[string]SystemDef)
+	for _, c := range capacitySuffixes {
+		mods := sim.Heterogeneous(c.sel)
+		for _, e := range []struct {
+			name string
+			def  SystemDef
+		}{
+			{"ddr3", ddr3}, {"rl", rl}, {"rldram", rl}, {"hbm", hbm}, {"lp", lp}, {"lpddr2", lp},
+			{"heter-app", SystemDef{Name: "heter-app", Modules: mods, Policy: sim.PolicyAppLevel}},
+			{"moca", SystemDef{Name: "moca", Modules: mods, Policy: sim.PolicyMOCA}},
+			{"migrate", SystemDef{Name: "migrate", Modules: mods, Policy: sim.PolicyMigrate}},
+		} {
+			t[e.name+c.suffix] = e.def
 		}
 	}
-	switch base {
-	case "ddr3":
-		return SystemDef{Name: "homogen-ddr3", Modules: sim.Homogeneous(mem.DDR3), Policy: sim.PolicyFixed}, nil
-	case "rl", "rldram":
-		return SystemDef{Name: "homogen-rl", Modules: sim.Homogeneous(mem.RLDRAM), Policy: sim.PolicyFixed}, nil
-	case "hbm":
-		return SystemDef{Name: "homogen-hbm", Modules: sim.Homogeneous(mem.HBM), Policy: sim.PolicyFixed}, nil
-	case "lp", "lpddr2":
-		return SystemDef{Name: "homogen-lp", Modules: sim.Homogeneous(mem.LPDDR2), Policy: sim.PolicyFixed}, nil
-	case "heter-app":
-		return SystemDef{Name: "heter-app", Modules: sim.Heterogeneous(sel), Policy: sim.PolicyAppLevel}, nil
-	case "moca":
-		return SystemDef{Name: "moca", Modules: sim.Heterogeneous(sel), Policy: sim.PolicyMOCA}, nil
-	case "migrate":
-		return SystemDef{Name: "migrate", Modules: sim.Heterogeneous(sel), Policy: sim.PolicyMigrate}, nil
-	default:
-		return SystemDef{}, fmt.Errorf("exp: unknown system %q", name)
-	}
-}
+	return t
+}()

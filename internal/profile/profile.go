@@ -222,8 +222,13 @@ func (pr Profile) Marshal() ([]byte, error) {
 
 // Unmarshal parses a serialized profile. Anything but a JSON object is
 // an error: json.Unmarshal alone would read null as a profile with no
-// objects, under which every MOCA run would go unclassified.
+// objects, under which every MOCA run would go unclassified. json.Marshal's
+// own output (a run cache entry) goes through decodeCanonical; anything
+// else, Marshal's indented form included, is decoded by encoding/json.
 func Unmarshal(data []byte) (Profile, error) {
+	if pr, ok := decodeCanonical(data); ok {
+		return pr, nil
+	}
 	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '{' {
 		return Profile{}, errors.New("profile: not a JSON object")
 	}

@@ -417,29 +417,59 @@ func ReadFrame(r io.Reader, max uint32) (typ byte, payload []byte, err error) {
 	if max == 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	n, err := readHeader(r, 4)
+	if err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: length prefix: %v", ErrTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
 	if n == 0 {
 		return 0, nil, ErrEmptyFrame
 	}
 	if n > max {
 		return 0, nil, fmt.Errorf("%w: %d byte frame, limit %d", ErrTooLarge, n, max)
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+	t, err := readHeader(r, 1)
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: type byte: %v", ErrTruncated, err)
 	}
-	typ = hdr[4]
+	typ = byte(t)
 	payload = make([]byte, n-1)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: payload (%d bytes): %v", ErrTruncated, n-1, err)
 	}
 	return typ, payload, nil
+}
+
+// readHeader reads a big-endian header field of size bytes (at most 4)
+// with io.ReadFull's errors: io.EOF only if no byte came. From an
+// io.ByteReader (the server's and client's bufio.Readers, a bytes.Reader)
+// it reads byte by byte, so no header buffer escapes to the heap through
+// the io.Reader interface; other readers fill a fresh buffer.
+func readHeader(r io.Reader, size int) (uint32, error) {
+	var v uint32
+	if br, ok := r.(io.ByteReader); ok {
+		for i := 0; i < size; i++ {
+			c, err := br.ReadByte()
+			if err != nil {
+				if err == io.EOF && i > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+				return 0, err
+			}
+			v = v<<8 | uint32(c)
+		}
+		return v, nil
+	}
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, err
+	}
+	for _, c := range buf {
+		v = v<<8 | uint32(c)
+	}
+	return v, nil
 }
 
 // Decode unmarshals a frame payload into msg, mapping JSON faults to

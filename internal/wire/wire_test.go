@@ -98,6 +98,22 @@ func TestFrameTypedErrors(t *testing.T) {
 	})
 }
 
+// TestReadFrameAllocs: reading a frame from an io.ByteReader allocates
+// its payload and nothing else.
+func TestReadFrameAllocs(t *testing.T) {
+	data := frame(TypeResult, []byte(`{"id":1}`))
+	r := bytes.NewReader(data)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(data)
+		if _, _, err := ReadFrame(r, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("ReadFrame allocates %v times per frame, want 1 (the payload)", allocs)
+	}
+}
+
 // FuzzReadFrame: whatever bytes arrive, the codec must return a typed
 // error or a valid frame — never panic, never misreport a frame boundary.
 // Decoded frames must re-encode to the identical bytes (with the trailing
