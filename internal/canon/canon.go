@@ -1,9 +1,10 @@
 // Package canon is the scanner under the repository's reflection-free
-// JSON decoders (sim's Result, profile's Profile). Each decoder accepts
-// exactly the bytes encoding/json writes for its type and declines
-// anything else, so encoding/json stays the reference: a Dec reads fixed
-// key literals, integers in strconv's form, floats in encoding/json's
-// formatting, and strings that encoding/json writes without escapes.
+// JSON decoders (sim's Result, profile's Profile, wire's SUBMIT and
+// ACCEPTED). Each decoder accepts exactly the bytes encoding/json writes
+// for its type and declines anything else, so encoding/json stays the
+// reference: a Dec reads fixed key literals, integers in strconv's form,
+// floats in encoding/json's formatting, and strings that encoding/json
+// writes without escapes.
 package canon
 
 import (
@@ -188,35 +189,61 @@ func AppendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// Str consumes a string that encoding/json writes without escapes: valid
-// UTF-8 with no control byte, '"', '\\', '<', '>', '&', U+2028 or U+2029.
+// Str consumes a string that encoding/json writes without escapes (see
+// Plain).
 func (d *Dec) Str() string {
 	if !d.ok || len(d.b) == 0 || d.b[0] != '"' {
 		d.Fail()
 		return ""
 	}
-	for i := 1; i < len(d.b); {
-		c := d.b[i]
+	// No byte of a multi-byte UTF-8 sequence is '"', so the first one
+	// closes the string.
+	q := bytes.IndexByte(d.b[1:], '"')
+	if q < 0 {
+		d.Fail()
+		return ""
+	}
+	s := string(d.b[1 : 1+q])
+	if !Plain(s) {
+		d.Fail()
+		return ""
+	}
+	d.b = d.b[2+q:]
+	return s
+}
+
+// Plain reports whether encoding/json writes s between its quotes as it
+// is: valid UTF-8 with no control byte, '"', '\\', '<', '>', '&', U+2028
+// or U+2029.
+func Plain(s string) bool {
+	for i := 0; i < len(s); {
+		c := s[i]
 		if c < utf8.RuneSelf {
-			if c == '"' {
-				s := string(d.b[1:i])
-				d.b = d.b[i+1:]
-				return s
-			}
-			if c < 0x20 || c == '\\' || c == '<' || c == '>' || c == '&' {
-				break
+			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return false
 			}
 			i++
 			continue
 		}
-		r, size := utf8.DecodeRune(d.b[i:])
+		r, size := utf8.DecodeRuneInString(s[i:])
 		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
-			break
+			return false
 		}
 		i += size
 	}
-	d.Fail()
-	return ""
+	return true
+}
+
+// AppendStr appends s quoted as encoding/json writes it and reports true
+// when s is Plain; otherwise it returns dst unchanged and false, and the
+// caller leaves the escaping to encoding/json.
+func AppendStr(dst []byte, s string) ([]byte, bool) {
+	if !Plain(s) {
+		return dst, false
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"'), true
 }
 
 // IntMap consumes null or a map with int keys as encoding/json writes it:

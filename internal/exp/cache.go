@@ -182,15 +182,20 @@ func (c *RunCache) Stats() CacheStats {
 	}
 }
 
-// path returns the file that holds the entry for (kind, key): the
-// SHA-256 of the key bytes, hex-encoded, under the cache directory.
+// path returns the file that holds the entry for (kind, key).
 func (c *RunCache) path(kind string, key []byte) string {
-	sum := sha256.Sum256(key)
 	var buf [256]byte
-	b := append(append(buf[:0], c.dir...), os.PathSeparator)
-	b = append(append(b, kind...), '-')
-	b = hex.AppendEncode(b, sum[:])
-	return string(append(b, ".json"...))
+	return string(c.appendPath(buf[:0], kind, key))
+}
+
+// appendPath appends the file that holds the entry for (kind, key): the
+// SHA-256 of the key bytes, hex-encoded, under the cache directory.
+func (c *RunCache) appendPath(dst []byte, kind string, key []byte) []byte {
+	sum := sha256.Sum256(key)
+	dst = append(append(dst, c.dir...), os.PathSeparator)
+	dst = append(append(dst, kind...), '-')
+	dst = hex.AppendEncode(dst, sum[:])
+	return append(dst, ".json"...)
 }
 
 // entryBufs recycles the buffers load reads entries into. A buffer goes
@@ -206,10 +211,13 @@ func (c *RunCache) load(kind string, key []byte, decode func(payload []byte) err
 	if c == nil {
 		return false
 	}
-	path := c.path(kind, key)
+	// The path is built on the stack and passed to the open call
+	// NUL-terminated.
+	var buf [256]byte
+	path := c.appendPath(buf[:0], kind, key)
 	bp := entryBufs.Get().(*[]byte)
 	defer entryBufs.Put(bp)
-	data, err := readEntry(path, (*bp)[:0])
+	data, err := readEntry(append(path, 0), (*bp)[:0])
 	*bp = data[:0]
 	if err != nil {
 		c.misses.Add(1)
@@ -217,28 +225,28 @@ func (c *RunCache) load(kind string, key []byte, decode func(payload []byte) err
 	}
 	salt, rest, ok := bytes.Cut(data, newline)
 	if !ok || string(salt) != c.salt {
-		c.reject(path)
+		c.reject(string(path))
 		return false
 	}
 	k, payload, ok := bytes.Cut(rest, newline)
 	if !ok || !bytes.Equal(k, key) || decode(payload) != nil {
-		c.reject(path)
+		c.reject(string(path))
 		return false
 	}
 	c.hits.Add(1)
 	return true
 }
 
-// readEntry reads the file at path into b's spare capacity, growing it
-// as needed, and returns the filled slice. It reads through a raw file
-// descriptor: os.Open would also set the descriptor non-blocking and try
-// to register it with the runtime poller, which a regular file read once
-// has no use for. A missing file is an error satisfying
-// errors.Is(err, fs.ErrNotExist).
-func readEntry(path string, b []byte) ([]byte, error) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+// readEntry reads the file at path, which ends in a NUL byte, into b's
+// spare capacity, growing it as needed, and returns the filled slice. It
+// reads through a raw file descriptor: os.Open would also set the
+// descriptor non-blocking and try to register it with the runtime poller,
+// which a regular file read once has no use for. A missing file is an
+// error satisfying errors.Is(err, fs.ErrNotExist).
+func readEntry(path []byte, b []byte) ([]byte, error) {
+	fd, err := openRead(path)
 	for err == syscall.EINTR {
-		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		fd, err = openRead(path)
 	}
 	if err != nil {
 		return b, err

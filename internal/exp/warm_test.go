@@ -96,14 +96,16 @@ func TestWarmReportsLoadError(t *testing.T) {
 func TestReadEntry(t *testing.T) {
 	dir := t.TempDir()
 	buf := make([]byte, 0, 16<<10)
-	if _, err := readEntry(filepath.Join(dir, "missing"), buf); !errors.Is(err, fs.ErrNotExist) {
+	// readEntry takes the path NUL-terminated, as load builds it.
+	nul := func(path string) []byte { return append([]byte(path), 0) }
+	if _, err := readEntry(nul(filepath.Join(dir, "missing")), buf); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing file: err %v, want fs.ErrNotExist", err)
 	}
 	empty := filepath.Join(dir, "empty")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := readEntry(empty, buf); err != nil || len(got) != 0 {
+	if got, err := readEntry(nul(empty), buf); err != nil || len(got) != 0 {
 		t.Errorf("empty file: read %d bytes, err %v", len(got), err)
 	}
 	large := make([]byte, 40<<10+123)
@@ -114,7 +116,7 @@ func TestReadEntry(t *testing.T) {
 	if err := os.WriteFile(path, large, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readEntry(path, append(buf, "prefix"...))
+	got, err := readEntry(nul(path), append(buf, "prefix"...))
 	if err != nil || !bytes.Equal(got, append([]byte("prefix"), large...)) {
 		t.Errorf("large file: read %d bytes (err %v), want %d after the prefix", len(got), err, len(large))
 	}

@@ -134,7 +134,12 @@ func (c *Client) Submit(spec wire.Submit) (*Job, error) {
 		c.nextID++
 		spec.ID = c.nextID
 	}
-	if err := c.send(wire.TypeSubmit, spec); err != nil {
+	frame, err := wire.AppendSubmitFrame(nil, spec, c.opts.maxFrame())
+	if err != nil {
+		return nil, err
+	}
+	c.nc.SetWriteDeadline(time.Now().Add(c.opts.frameTimeout()))
+	if _, err := c.nc.Write(frame); err != nil {
 		return nil, err
 	}
 	typ, payload, err := c.readFrame()
@@ -143,8 +148,8 @@ func (c *Client) Submit(spec wire.Submit) (*Job, error) {
 	}
 	switch typ {
 	case wire.TypeAccepted:
-		var acc wire.Accepted
-		if err := wire.Decode(payload, &acc); err != nil {
+		acc, err := wire.DecodeAccepted(payload)
+		if err != nil {
 			return nil, err
 		}
 		if acc.ID != spec.ID {

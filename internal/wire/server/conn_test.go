@@ -190,6 +190,77 @@ func TestStatusAndCancel(t *testing.T) {
 	}
 }
 
+// TestDuplicateJobIDRefused: a job ID is used once per connection. A
+// SUBMIT or TRACE_START that reuses the ID of a running job, or of a job
+// a memo hit answered and left done, draws a bad-request ERROR for that
+// ID and leaves the earlier job as it was.
+func TestDuplicateJobIDRefused(t *testing.T) {
+	srv, addr := startServer(t, Config{DrainTimeout: 5 * time.Second, TraceIdleTimeout: time.Minute})
+	r := dialRaw(t, addr)
+	var acc wire.Accepted
+	var em wire.ErrorMsg
+	refused := func(what string, id uint32) {
+		t.Helper()
+		r.expect(wire.TypeError, &em)
+		if em.ID != id || em.Code != wire.CodeBadReq {
+			t.Fatalf("%s reusing job %d: %+v, want %s for job %d", what, id, em, wire.CodeBadReq, id)
+		}
+	}
+
+	r.send(wire.TypeSubmit, longSubmit(1))
+	r.expect(wire.TypeAccepted, &acc)
+	// The same key under the same ID, then another key under it.
+	r.send(wire.TypeSubmit, longSubmit(1))
+	refused("SUBMIT", 1)
+	r.send(wire.TypeSubmit, testSubmit(1))
+	refused("SUBMIT", 1)
+
+	// Job 2 computes the run; job 3 is a memo hit, done at registration.
+	for id := uint32(2); id <= 3; id++ {
+		r.send(wire.TypeSubmit, testSubmit(id))
+		r.expect(wire.TypeAccepted, &acc)
+		if typ, payload := r.read(); typ != wire.TypeResult {
+			t.Fatalf("got frame type %#x (%s), want RESULT for job %d", typ, payload, id)
+		}
+	}
+	srv.mu.Lock()
+	run := srv.runners[testKey()]
+	srv.mu.Unlock()
+	if st := run.Stats(); st.Simulated != 1 || st.MemoryHits != 1 {
+		t.Fatalf("simulated %d, memory hits %d; want 1 and 1", st.Simulated, st.MemoryHits)
+	}
+	r.send(wire.TypeSubmit, testSubmit(3))
+	refused("SUBMIT", 3)
+	if st := run.Stats(); st.MemoryHits != 1 {
+		t.Fatalf("a refused SUBMIT was served: memory hits %d, want 1", st.MemoryHits)
+	}
+
+	for _, id := range []uint32{1, 3} {
+		start := traceStartSpec()
+		start.ID, start.Session = id, "dup-id"
+		r.send(wire.TypeTraceStart, start)
+		refused("TRACE_START", id)
+	}
+	srv.mu.Lock()
+	sessions := len(srv.traces)
+	srv.mu.Unlock()
+	if sessions != 0 {
+		t.Fatalf("refused TRACE_STARTs opened %d sessions", sessions)
+	}
+
+	if st := r.status(1); st != wire.StateRunning {
+		t.Fatalf("STATUS of job 1 after the refusals = %q, want %q", st, wire.StateRunning)
+	}
+	if st := r.status(3); st != wire.StateDone {
+		t.Fatalf("STATUS of job 3 after the refusals = %q, want %q", st, wire.StateDone)
+	}
+	r.send(wire.TypeCancel, wire.Cancel{ID: 1})
+	r.expect(wire.TypeError, &em)
+	if em.ID != 1 || em.Code != wire.CodeCanceled {
+		t.Fatalf("canceled job's terminal frame: %+v", em)
+	}
+}
+
 // TestIdleTimeoutSparesLiveJobs: Config.ReadTimeout closes a silent
 // connection unless it has a running job or an attached trace session,
 // and the clock starts again once the last live job ends, even though

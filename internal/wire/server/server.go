@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -343,6 +344,9 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader // read loop only
+	// abuf is the read loop's buffer for answer's frames; it keeps the
+	// capacity of the largest answer.
+	abuf []byte
 
 	wmu sync.Mutex // serializes writes (jobs, streams, read-loop replies)
 
@@ -467,8 +471,8 @@ func (c *conn) handshake() error {
 func (c *conn) dispatch(typ byte, payload []byte) error {
 	switch typ {
 	case wire.TypeSubmit:
-		var sub wire.Submit
-		if err := wire.Decode(payload, &sub); err != nil {
+		sub, err := wire.DecodeSubmit(payload)
+		if err != nil {
 			return err
 		}
 		return c.submit(sub)
@@ -634,7 +638,11 @@ func (c *conn) submit(sub wire.Submit) error {
 	c.register(j)
 	c.mu.Unlock()
 
-	if err := c.send(wire.TypeAccepted, wire.Accepted{ID: sub.ID}); err != nil {
+	accepted, err := wire.AppendAcceptedFrame(nil, sub.ID, c.srv.cfg.maxFrame())
+	if err == nil {
+		err = c.write(accepted)
+	}
+	if err != nil {
 		cancel()
 		return err
 	}
@@ -687,12 +695,12 @@ func (c *conn) runJob(ctx context.Context, r *exp.Runner, j *job, def exp.System
 // answer serves, on the read loop, a SUBMIT whose run the runner memo
 // already holds. The job is registered terminal, so it is never live and
 // needs no context or goroutine, and its ACCEPTED and terminal frames go
-// out together in one write.
+// out together in one write, built in the connection's answer buffer.
 func (c *conn) answer(id uint32, res *sim.Result) error {
 	limit := c.srv.cfg.maxFrame()
 	doc, resErr := c.srv.docs.encode(res)
 	// The frame headers, the two envelopes and the job ID fit in the slack.
-	frames, err := wire.AppendMsg(make([]byte, 0, len(doc)+64), wire.TypeAccepted, wire.Accepted{ID: id}, limit)
+	frames, err := wire.AppendAcceptedFrame(slices.Grow(c.abuf[:0], len(doc)+64), id, limit)
 	if err != nil {
 		return err
 	}
@@ -709,6 +717,9 @@ func (c *conn) answer(id uint32, res *sim.Result) error {
 	c.mu.Lock()
 	c.register(j)
 	c.mu.Unlock()
+	// The write is synchronous, so the buffer is free again when it
+	// returns.
+	c.abuf = frames[:0]
 	return c.write(frames)
 }
 

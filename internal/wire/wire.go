@@ -94,10 +94,12 @@ type HelloOK struct {
 }
 
 // Submit asks the server to run one simulation. ID is chosen by the
-// client and echoed on every frame concerning this job; it must be unique
-// among the connection's live jobs. The remaining fields form the
-// canonical run key: identical keys from any number of connections
-// multiplex onto a single simulation.
+// client and echoed on every frame concerning this job; it must differ
+// from the ID of every job the connection has registered before, finished
+// ones included (the server refuses a reused ID with a bad-request
+// ERROR). The remaining fields form the canonical run key: identical
+// keys from any number of connections multiplex onto a single
+// simulation. AppendSubmit and DecodeSubmit are its codec.
 type Submit struct {
 	ID uint32 `json:"id"`
 	// System is the CLI-style system name moca-sim accepts (ddr3, rl, hbm,
@@ -132,7 +134,8 @@ type StreamReq struct {
 	ID uint32 `json:"id"`
 }
 
-// Accepted acknowledges a SUBMIT.
+// Accepted acknowledges a SUBMIT. AppendAccepted and DecodeAccepted are
+// its codec.
 type Accepted struct {
 	ID uint32 `json:"id"`
 }
@@ -220,8 +223,9 @@ type TracePos struct {
 // one after a disconnect. Session is a client-chosen token identifying
 // the session across connections; System/App/Measure describe the
 // simulation exactly as moca-trace replay does (they must repeat verbatim
-// on re-attach). The server answers with TRACE_RESUME carrying the
-// position to push from — zero for a fresh session.
+// on re-attach). ID follows Submit's rule: never the ID of an earlier
+// job on the connection. The server answers with TRACE_RESUME carrying
+// the position to push from — zero for a fresh session.
 type TraceStart struct {
 	ID      uint32 `json:"id"`
 	Session string `json:"session"`
